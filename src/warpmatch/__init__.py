@@ -22,8 +22,6 @@ from .dpw import (
     HiPa,
     PathNode,
     dpw,
-    enumerate_hipas,
-    lattice_paths,
     optimal_hipa,
     path_cost,
     validate_hipa,
@@ -37,7 +35,6 @@ from .evaluate import (
     match_topk,
     report_csv_lines,
     report_json,
-    track_immediate,
 )
 from .matrix import (
     Dataset,
@@ -88,11 +85,9 @@ __all__ = [
     "dtw",
     "dtw_path",
     "element_distance",
-    "enumerate_hipas",
     "gen_task",
     "init_adapter",
     "knn_baseline",
-    "lattice_paths",
     "load_adapter",
     "load_dataset",
     "load_matrix",
@@ -111,7 +106,6 @@ __all__ = [
     "sloma_trace_csv_lines",
     "swim_trace_csv_lines",
     "toy_pair",
-    "track_immediate",
     "train_on_pairs",
     "validate_hipa",
 ]

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 I/O or format error, 2 validation error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -138,17 +137,26 @@ def _load_any_matrix(path):
     return load_matrix(path)
 
 
-def _workers(args) -> int:
-    if getattr(args, "workers", None) is not None:
-        return max(1, args.workers)
-    return max(1, int(os.environ.get("WARPMATCH_WORKERS", "1")))
-
-
 def _write_resolved(cfg: dict, outdir: Path) -> None:
     text = "\n".join(resolved_config_lines(cfg)) + "\n"
     (outdir / "config.resolved").write_text(text, encoding="utf-8")
     for line in resolved_config_lines(cfg):
         print(f"# {line}", file=sys.stderr)
+
+
+def _write_reports(args, outdir: Path, seen, emerging, params, k: int):
+    """Write report.{json,csv}, plus baseline_report.{json,csv} with
+    ``--baseline knn``; returns the alignment report."""
+    def write(stem, report):
+        (outdir / f"{stem}.json").write_text(report_json(report) + "\n", encoding="utf-8")
+        (outdir / f"{stem}.csv").write_text(
+            "\n".join(report_csv_lines(report)) + "\n", encoding="utf-8")
+
+    report = match_topk(seen, emerging, params, k=k, workers=args.workers)
+    write("report", report)
+    if args.baseline == "knn":
+        write("baseline_report", knn_baseline(seen, emerging, params, k=k))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +217,10 @@ def cmd_match_run(args) -> int:
     emerging = load_dataset(args.emerging)
     if set(seen.class_ids) != set(emerging.class_ids):
         raise ValidationError("seen and emerging datasets must share one class-id set")
-    workers = _workers(args)
     truth = _index_truth(seen, emerging)
     assignment, params, steps = run_swim(
         seen.matrices, emerging.matrices, _swim_config(cfg),
-        truth=truth, workers=workers)
+        truth=truth, workers=args.workers)
 
     final = steps[-1]
     lines = ["emerging_id,seen_id,rank1_distance"]
@@ -229,15 +236,7 @@ def cmd_match_run(args) -> int:
     (outdir / "sloma_trace.csv").write_text("\n".join(inner_lines) + "\n", encoding="utf-8")
     save_adapter(params, outdir / "adapter.lfa")
 
-    report = match_topk(seen, emerging, params, k=cfg["topk"], workers=workers)
-    (outdir / "report.json").write_text(report_json(report) + "\n", encoding="utf-8")
-    (outdir / "report.csv").write_text(
-        "\n".join(report_csv_lines(report)) + "\n", encoding="utf-8")
-    if args.baseline == "knn":
-        base = knn_baseline(seen, emerging, params, k=cfg["topk"])
-        (outdir / "baseline_report.json").write_text(report_json(base) + "\n", encoding="utf-8")
-        (outdir / "baseline_report.csv").write_text(
-            "\n".join(report_csv_lines(base)) + "\n", encoding="utf-8")
+    report = _write_reports(args, outdir, seen, emerging, params, cfg["topk"])
     print(f"top1 {report.top1!r} top5 {report.top5!r} ({len(steps)} outer iterations)")
     return 0
 
@@ -251,15 +250,7 @@ def cmd_eval_topk(args) -> int:
     emerging = load_dataset(args.emerging)
     params = load_adapter(args.adapter, dropout_p=cfg["dropout_p"], seed=cfg["seed"])
     k = args.k if args.k is not None else cfg["topk"]
-    report = match_topk(seen, emerging, params, k=k, workers=_workers(args))
-    (outdir / "report.json").write_text(report_json(report) + "\n", encoding="utf-8")
-    (outdir / "report.csv").write_text(
-        "\n".join(report_csv_lines(report)) + "\n", encoding="utf-8")
-    if args.baseline == "knn":
-        base = knn_baseline(seen, emerging, params, k=k)
-        (outdir / "baseline_report.json").write_text(report_json(base) + "\n", encoding="utf-8")
-        (outdir / "baseline_report.csv").write_text(
-            "\n".join(report_csv_lines(base)) + "\n", encoding="utf-8")
+    report = _write_reports(args, outdir, seen, emerging, params, k)
     print(f"top1 {report.top1!r} top5 {report.top5!r}")
     return 0
 

@@ -12,13 +12,11 @@ data model; everything internal is 0-based and converted at the boundary.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .dtw import accumulate_final, accumulate_tables, dtw_path, element_cost_volume
+from .dtw import accumulate_tables, dtw_path, element_cost_volume
 from .errors import ValidationError
 from .matrix import as_feature_array
 
@@ -67,13 +65,11 @@ class DpwTables:
 
     ``hier_acc[h, e]`` is the minimum alignment cost of the first h+1 rows of
     the first matrix against the first e+1 rows of the second.  ``row_tables``
-    holds the per-row-pair accumulated DTW tables as a (Ws, We, Hs, He) volume;
-    it is None when the run was asked not to keep them, in which case tables
-    are recomputed on demand from the stored matrices.
+    holds the per-row-pair accumulated DTW tables as a (Ws, We, Hs, He) volume.
     """
 
     hier_acc: np.ndarray
-    row_tables: np.ndarray | None
+    row_tables: np.ndarray
     source: np.ndarray
     target: np.ndarray
 
@@ -91,13 +87,10 @@ class DpwTables:
 
     def row_table(self, h: int, e: int) -> np.ndarray:
         """Accumulated DTW table for row h of the source vs row e of the target."""
-        if self.row_tables is not None:
-            return self.row_tables[:, :, h, e]
-        vol = cdist(self.source[h], self.target[e])[:, :, None]
-        return accumulate_tables(vol)[:, :, 0]
+        return self.row_tables[:, :, h, e]
 
 
-def dpw(s, e, keep_row_tables: bool = True) -> tuple[float, DpwTables]:
+def dpw(s, e) -> tuple[float, DpwTables]:
     """Dynamic position warping distance between two feature matrices.
 
     Parameters
@@ -105,11 +98,6 @@ def dpw(s, e, keep_row_tables: bool = True) -> tuple[float, DpwTables]:
     s, e : FeatureMatrix or array-like
         Matrices of shape (H, W, C) with a shared channel count; 2-D input
         is treated as scalar-element (C=1).
-    keep_row_tables : bool
-        Keep all Hs*He per-row-pair DTW tables for backtracking (the
-        default).  With False only the hierarchical table is stored and
-        backtracking recomputes row tables on demand, trading time for
-        memory on large inputs.
 
     Returns
     -------
@@ -121,16 +109,10 @@ def dpw(s, e, keep_row_tables: bool = True) -> tuple[float, DpwTables]:
         raise ValidationError(f"channel mismatch: {a.shape[2]} vs {b.shape[2]}")
     hs, ws = a.shape[0], a.shape[1]
     he, we = b.shape[0], b.shape[1]
-    vol = element_cost_volume(a, b)
-    if keep_row_tables:
-        acc = accumulate_tables(vol)
-        row_costs = acc[-1, -1]
-        row_tables = acc.reshape(ws, we, hs, he)
-    else:
-        row_costs = accumulate_final(vol)
-        row_tables = None
-    hier = accumulate_tables(row_costs.reshape(hs, he, 1))[:, :, 0]
-    tables = DpwTables(hier, row_tables, a, b)
+    acc = accumulate_tables(element_cost_volume(a, b))
+    # acc[-1, -1] is a view into the row tables that backtracking reads.
+    hier = accumulate_tables(acc[-1, -1].reshape(hs, he, 1).copy())[:, :, 0]
+    tables = DpwTables(hier, acc.reshape(ws, we, hs, he), a, b)
     return float(hier[-1, -1]), tables
 
 
@@ -148,17 +130,12 @@ def optimal_hipa(s, e, tables: DpwTables | None = None) -> HiPa:
     if tables.shape_s != (a.shape[0], a.shape[1]) or tables.shape_e != (b.shape[0], b.shape[1]):
         raise ValidationError("tables do not match the given matrices")
 
-    first_level = _backtrack(tables.hier_acc)
+    first_level = dtw_path(tables.hier_acc)
     nodes = []
     for h, e0 in first_level:
         cols = tuple((i + 1, j + 1) for i, j in dtw_path(tables.row_table(h, e0)))
         nodes.append(PathNode(h + 1, e0 + 1, cols))
     return HiPa(tuple(nodes))
-
-
-def _backtrack(acc: np.ndarray) -> list[tuple[int, int]]:
-    # Same traversal as dtw_path; shared here for the hierarchical level.
-    return dtw_path(acc)
 
 
 def path_cost(s, e, hipa: HiPa) -> float:
@@ -243,40 +220,3 @@ def validate_hipa(hipa: HiPa, shape_s, shape_e) -> list[str]:
                            f"({dw},{dv}) not in {{(1,0),(0,1),(1,1)}}")
     return out
 
-
-def lattice_paths(n: int, m: int) -> list[tuple]:
-    """All monotone unit-step paths from (1,1) to (n,m), as 1-based tuples."""
-    if n < 1 or m < 1:
-        raise ValidationError("lattice dimensions must be >= 1")
-    paths = {(1, 1): [((1, 1),)]}
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            if (i, j) in paths:
-                continue
-            acc = []
-            for di, dj in _STEPS:
-                prev = (i - di, j - dj)
-                if prev in paths:
-                    acc.extend(p + ((i, j),) for p in paths[prev])
-            paths[(i, j)] = acc
-    return paths[(n, m)]
-
-
-def enumerate_hipas(shape_s, shape_e):
-    """Yield every valid hierarchical warping path between the given shapes.
-
-    Guarded to Hs*He <= 9 and Ws*We <= 9 because the count grows
-    exponentially; larger shapes raise ValidationError.
-    """
-    hs, ws = int(shape_s[0]), int(shape_s[1])
-    he, we = int(shape_e[0]), int(shape_e[1])
-    if hs * he > 9 or ws * we > 9:
-        raise ValidationError(
-            f"enumeration limited to Hs*He <= 9 and Ws*We <= 9, got {hs * he} and {ws * we}"
-        )
-    col_paths = lattice_paths(ws, we)
-    for rows in lattice_paths(hs, he):
-        for combo in itertools.product(col_paths, repeat=len(rows)):
-            yield HiPa(tuple(
-                PathNode(h, e, cols) for (h, e), cols in zip(rows, combo)
-            ))

@@ -1,10 +1,11 @@
 """Dynamic time warping over sequences of feature elements.
 
 The accumulated-cost table is always kept in full because the hierarchical
-aligner backtracks through interior prefix values.  The same accumulation
-kernel also powers the hierarchical (row-level) recurrence and the batched
-distance-matrix driver: it runs one alignment DP over a whole batch of
-problems at once, which is what makes plain numpy fast enough here.
+aligner backtracks through interior prefix values.  One accumulation kernel,
+:func:`accumulate_tables`, is the only alignment DP in the library: it
+powers plain DTW, both levels of dpw and the batched distance-matrix driver.
+It runs the recurrence over a whole batch of problems at once and in place,
+which is what makes plain numpy fast enough here.
 """
 
 from __future__ import annotations
@@ -25,52 +26,31 @@ def _as_rows(row) -> np.ndarray:
 
 
 def accumulate_tables(vol: np.ndarray) -> np.ndarray:
-    """Accumulated-cost tables for a batch of alignment problems.
+    """Accumulated-cost tables for a batch of alignment problems, in place.
 
     ``vol[i, j, b]`` is the local cost of pairing position i with position j
-    in problem b.  Returns an array of the same shape obeying the running-sum
-    boundary cases and the interior recurrence
+    in problem b.  ``vol`` is overwritten with its tables and returned: they
+    obey the running-sum boundary cases and the interior recurrence
     ``acc[i, j] = min(acc[i-1, j-1], acc[i-1, j], acc[i, j-1]) + vol[i, j]``.
+    Callers that only need the final costs read ``[-1, -1]``.
     """
     n, m, _ = vol.shape
-    acc = np.empty_like(vol)
-    acc[0, 0] = vol[0, 0]
     for i in range(1, n):
-        np.add(acc[i - 1, 0], vol[i, 0], out=acc[i, 0])
+        cell = vol[i, 0]
+        cell += vol[i - 1, 0]
     for j in range(1, m):
-        np.add(acc[0, j - 1], vol[0, j], out=acc[0, j])
+        cell = vol[0, j]
+        cell += vol[0, j - 1]
     for i in range(1, n):
-        prev = acc[i - 1]
-        cur = acc[i]
-        loc = vol[i]
+        prev = vol[i - 1]
+        cur = vol[i]
         for j in range(1, m):
             best = np.minimum(prev[j - 1], prev[j])
             np.minimum(best, cur[j - 1], out=best)
-            np.add(best, loc[j], out=cur[j])
-    return acc
-
-
-def accumulate_final(vol: np.ndarray) -> np.ndarray:
-    """Final accumulated cost per batch entry, without keeping the tables.
-
-    Same recurrence as :func:`accumulate_tables`, two rolling rows of memory.
-    """
-    n, m, nb = vol.shape
-    prev = np.empty((m, nb), dtype=vol.dtype)
-    prev[0] = vol[0, 0]
-    for j in range(1, m):
-        np.add(prev[j - 1], vol[0, j], out=prev[j])
-    if n == 1:
-        return prev[m - 1].copy()
-    cur = np.empty_like(prev)
-    for i in range(1, n):
-        np.add(prev[0], vol[i, 0], out=cur[0])
-        for j in range(1, m):
-            best = np.minimum(prev[j - 1], prev[j])
-            np.minimum(best, cur[j - 1], out=best)
-            np.add(best, vol[i, j], out=cur[j])
-        prev, cur = cur, prev
-    return prev[m - 1].copy()
+            # One view as input and output skips numpy's overlap check.
+            cell = cur[j]
+            cell += best
+    return vol
 
 
 def element_cost_volume(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -106,13 +106,6 @@ def knn_baseline(seen: Dataset, emerging: Dataset, params: AdapterParams,
     return _build_report(dist, seen.class_ids, emerging.class_ids, k)
 
 
-def track_immediate(seen: Dataset, emerging: Dataset, params: AdapterParams,
-                    workers: int | None = None) -> tuple[float, float]:
-    """Top-1/top-5 accuracy of one adapter snapshot (for iteration traces)."""
-    report = match_topk(seen, emerging, params, k=min(5, seen.size), workers=workers)
-    return report.top1, report.top5
-
-
 def report_json(report: MatchReport) -> str:
     """Full ranked lists as a JSON document."""
     doc = {

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .adapter import TrainConfig, adapt_matrix, init_adapter
-from .dtw import accumulate_final
+from .dtw import accumulate_tables
 from .errors import ValidationError
 from .matrix import as_feature_array
 from .sloma import MatchedPairSet, run_sloma
@@ -104,10 +104,12 @@ def _block_distances(arrs_a, arrs_b) -> np.ndarray:
                 d = cdist(rows_a.reshape(-1, c), rows_b.reshape(-1, c))
                 vol = d.reshape(len(ia) * hs, ws, nb * he, we).transpose(1, 3, 0, 2)
                 vol = np.ascontiguousarray(vol).reshape(ws, we, -1)
-                row_costs = accumulate_final(vol).reshape(len(ia), hs, nb, he)
+                # Rebind hier_vol rather than keep a name on a view of the row
+                # tables, so the next chunk can free this volume early.
+                hier_vol = accumulate_tables(vol)[-1, -1].reshape(len(ia), hs, nb, he)
                 hier_vol = np.ascontiguousarray(
-                    row_costs.transpose(1, 3, 0, 2)).reshape(hs, he, -1)
-                dists = accumulate_final(hier_vol).reshape(len(ia), nb)
+                    hier_vol.transpose(1, 3, 0, 2)).reshape(hs, he, -1)
+                dists = accumulate_tables(hier_vol)[-1, -1].reshape(len(ia), nb)
                 for bi, j in enumerate(jchunk):
                     out[ia, j] = dists[:, bi]
     return out
@@ -133,7 +135,12 @@ def dpw_distance_matrix(seen, emerging, workers: int | None = None) -> np.ndarra
     if len(channels) != 1:
         raise ValidationError(f"channel mismatch across matrices: {sorted(channels)}")
     if workers is None:
-        workers = int(os.environ.get("WARPMATCH_WORKERS", "1"))
+        value = os.environ.get("WARPMATCH_WORKERS", "1")
+        try:
+            workers = int(value)
+        except ValueError:
+            raise ValidationError(
+                f"WARPMATCH_WORKERS must be an integer, got {value!r}") from None
     workers = max(1, min(workers, len(arrs_b)))
     if workers == 1:
         return _block_distances(arrs_a, arrs_b)

@@ -4,9 +4,13 @@ Everything here is deliberately written without the library's DP kernels:
 recursive path enumeration, pure-Python sums, and finite differences.
 """
 
+import itertools
+
 import numpy as np
 
 from warpmatch.adapter import training_loss_and_gradients
+from warpmatch.dpw import HiPa, PathNode
+from warpmatch.errors import ValidationError
 
 
 def enum_paths_rec(n, m):
@@ -19,6 +23,44 @@ def enum_paths_rec(n, m):
         if pi >= 1 and pj >= 1:
             out.extend(p + [(n, m)] for p in enum_paths_rec(pi, pj))
     return out
+
+
+def lattice_paths(n: int, m: int) -> list[tuple]:
+    """All monotone unit-step paths from (1,1) to (n,m), as 1-based tuples."""
+    if n < 1 or m < 1:
+        raise ValidationError("lattice dimensions must be >= 1")
+    paths = {(1, 1): [((1, 1),)]}
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            if (i, j) in paths:
+                continue
+            acc = []
+            for di, dj in ((1, 1), (1, 0), (0, 1)):
+                prev = (i - di, j - dj)
+                if prev in paths:
+                    acc.extend(p + ((i, j),) for p in paths[prev])
+            paths[(i, j)] = acc
+    return paths[(n, m)]
+
+
+def enumerate_hipas(shape_s, shape_e):
+    """Yield every valid hierarchical warping path between the given shapes.
+
+    Guarded to Hs*He <= 9 and Ws*We <= 9 because the count grows
+    exponentially; larger shapes raise ValidationError.
+    """
+    hs, ws = int(shape_s[0]), int(shape_s[1])
+    he, we = int(shape_e[0]), int(shape_e[1])
+    if hs * he > 9 or ws * we > 9:
+        raise ValidationError(
+            f"enumeration limited to Hs*He <= 9 and Ws*We <= 9, got {hs * he} and {ws * we}"
+        )
+    col_paths = lattice_paths(ws, we)
+    for rows in lattice_paths(hs, he):
+        for combo in itertools.product(col_paths, repeat=len(rows)):
+            yield HiPa(tuple(
+                PathNode(h, e, cols) for (h, e), cols in zip(rows, combo)
+            ))
 
 
 def brute_min_row_cost(row_a, row_b):

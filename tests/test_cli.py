@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from warpmatch import save_matrix
+from warpmatch import init_adapter, save_adapter, save_matrix
 from warpmatch.cli import load_run_config, main, resolved_config_lines
 from warpmatch.errors import ValidationError
 from warpmatch.toy import write_toy_csvs
@@ -154,10 +154,24 @@ class TestMatchRun:
                      "--seen", str(small_task / "seen.manifest"),
                      "--emerging", str(small_task / "emerging.manifest"),
                      "--adapter", str(run_out / "adapter.lfa"),
-                     "--k", "2", "--outdir", str(eval_out)]) == 0
+                     "--k", "2", "--outdir", str(eval_out), "--baseline", "knn"]) == 0
         doc = json.loads((eval_out / "report.json").read_text())
         assert doc["k"] == 2
         assert all(len(item["ranked"]) == 2 for item in doc["items"])
+        assert (eval_out / "baseline_report.json").exists()
+        assert (eval_out / "baseline_report.csv").exists()
+
+    def test_workers_env_not_an_integer_exit_2(self, small_task, tmp_path, capsys,
+                                               monkeypatch):
+        adapter = tmp_path / "adapter.lfa"
+        save_adapter(init_adapter(3, 4, seed=0), adapter)
+        monkeypatch.setenv("WARPMATCH_WORKERS", "two")
+        assert main(["eval", "topk",
+                     "--seen", str(small_task / "seen.manifest"),
+                     "--emerging", str(small_task / "emerging.manifest"),
+                     "--adapter", str(adapter),
+                     "--outdir", str(tmp_path / "eval")]) == 2
+        assert "error: WARPMATCH_WORKERS" in capsys.readouterr().err
 
 
 class TestModuleInvocation:

@@ -14,7 +14,6 @@ from warpmatch import (
     report_csv_lines,
     report_json,
     toy_pair,
-    track_immediate,
 )
 
 
@@ -128,16 +127,6 @@ class TestKnnBaseline:
         emerging = make_dataset("emerging", [rng.uniform(0, 1, (3, 4, 2))])
         with pytest.raises(ValidationError):
             knn_baseline(seen, emerging, pass_through(2), k=1)
-
-
-class TestTrackImmediate:
-    def test_matches_report_accuracies(self):
-        seen, emerging = random_task(50)
-        params = init_adapter(2, 4, seed=1)
-        top1, top5 = track_immediate(seen, emerging, params)
-        report = match_topk(seen, emerging, params, k=5)
-        assert (top1, top5) == (report.top1, report.top5)
-        assert 0.0 <= top1 <= top5 <= 1.0
 
 
 class TestReportEmission:

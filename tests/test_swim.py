@@ -39,13 +39,16 @@ class TestDistanceMatrix:
 
     def test_mixed_shapes_grouped_correctly(self):
         rng = np.random.default_rng(2)
+        # 1-row, 1-column and 1x1 matrices exercise the degenerate DP shapes.
         seen = [rng.uniform(0, 5, (3, 3, 2)), rng.uniform(0, 5, (2, 5, 2)),
-                rng.uniform(0, 5, (3, 3, 2))]
+                rng.uniform(0, 5, (3, 3, 2)), rng.uniform(0, 5, (1, 4, 2)),
+                rng.uniform(0, 5, (3, 1, 2)), rng.uniform(0, 5, (1, 1, 2))]
         emerging = [rng.uniform(0, 5, (4, 2, 2)), rng.uniform(0, 5, (4, 2, 2)),
-                    rng.uniform(0, 5, (2, 2, 2))]
+                    rng.uniform(0, 5, (2, 2, 2)), rng.uniform(0, 5, (1, 3, 2)),
+                    rng.uniform(0, 5, (2, 1, 2)), rng.uniform(0, 5, (1, 1, 2))]
         d = dpw_distance_matrix(seen, emerging)
-        for i in range(3):
-            for j in range(3):
+        for i in range(len(seen)):
+            for j in range(len(emerging)):
                 assert d[i, j] == dpw(seen[i], emerging[j])[0]
 
     def test_parallel_equals_serial(self):
@@ -66,6 +69,11 @@ class TestDistanceMatrix:
         seen = [rng.uniform(0, 1, (2, 2, 1)) for _ in range(2)]
         d = dpw_distance_matrix(seen, seen)
         assert d.shape == (2, 2)
+
+    def test_workers_env_not_an_integer_rejected(self, monkeypatch):
+        monkeypatch.setenv("WARPMATCH_WORKERS", "two")
+        with pytest.raises(ValidationError, match="WARPMATCH_WORKERS"):
+            dpw_distance_matrix([np.ones((2, 2, 1))], [np.ones((2, 2, 1))])
 
 
 class TestGreedyBuild:
