@@ -46,14 +46,8 @@ from .matrix import (
     save_dataset,
     save_matrix,
 )
-from .sloma import MatchedPairSet, SlomaStep, run_sloma, sloma_trace_csv_lines
-from .swim import (
-    SwimConfig,
-    SwimStep,
-    dpw_distance_matrix,
-    run_swim,
-    swim_trace_csv_lines,
-)
+from .sloma import MatchedPairSet, SlomaStep, run_sloma
+from .swim import SwimConfig, SwimStep, dpw_distance_matrix, run_swim
 from .synth import SynthConfig, gen_task
 from .toy import toy_pair
 
@@ -103,8 +97,6 @@ __all__ = [
     "save_adapter",
     "save_dataset",
     "save_matrix",
-    "sloma_trace_csv_lines",
-    "swim_trace_csv_lines",
     "toy_pair",
     "train_on_pairs",
     "validate_hipa",

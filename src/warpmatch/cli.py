@@ -15,10 +15,8 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .adapter import TrainConfig, load_adapter, save_adapter
-from .dpw import dpw, optimal_hipa
+from .dpw import _pair_costs, dpw, optimal_hipa
 from .errors import DivergenceError, FormatError, ValidationError
 from .evaluate import knn_baseline, match_topk, report_csv_lines, report_json
 from .matrix import (
@@ -28,9 +26,18 @@ from .matrix import (
     load_matrix_csv,
     save_dataset,
 )
-from .sloma import sloma_trace_csv_lines
-from .swim import SwimConfig, run_swim, swim_trace_csv_lines
+from .swim import SwimConfig, run_swim
 from .synth import SynthConfig, gen_task
+
+
+def _parse_bool(value: str) -> bool:
+    v = value.lower()
+    if v in ("1", "true", "yes", "on"):
+        return True
+    if v in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(value)
+
 
 # key -> (parser, default)
 _SCHEMA = {
@@ -38,7 +45,7 @@ _SCHEMA = {
     "alpha": (int, 1),
     "eps": (float, 1e-3),
     "hidden": (int, 64),
-    "dropout": (lambda s: s.lower() in ("1", "true", "yes", "on"), False),
+    "dropout": (_parse_bool, False),
     "dropout_p": (float, 0.2),
     "epochs": (int, 20),
     "learning_rate": (float, 1e-3),
@@ -137,25 +144,43 @@ def _load_any_matrix(path):
     return load_matrix(path)
 
 
+def _write_lines(path: Path, lines) -> None:
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _write_resolved(cfg: dict, outdir: Path) -> None:
-    text = "\n".join(resolved_config_lines(cfg)) + "\n"
-    (outdir / "config.resolved").write_text(text, encoding="utf-8")
+    _write_lines(outdir / "config.resolved", resolved_config_lines(cfg))
     for line in resolved_config_lines(cfg):
         print(f"# {line}", file=sys.stderr)
+
+
+def _write_traces(outdir: Path, steps) -> None:
+    """Write trace.csv (one line per outer iteration) and sloma_trace.csv
+    (one line per inner iteration, tagged with its outer iteration T)."""
+    outer = ["T,n,top1,top5"]
+    inner = ["T,t,match_cost,train_loss,param_delta"]
+    for step in steps:
+        top1 = "" if step.top1 is None else repr(step.top1)
+        top5 = "" if step.top5 is None else repr(step.top5)
+        outer.append(f"{step.iteration},{step.n_pairs},{top1},{top5}")
+        inner += [f"{step.iteration},{s.iteration},{s.match_cost!r},{s.train_loss!r},"
+                  f"{s.weight_delta!r}" for s in step.inner]
+    _write_lines(outdir / "trace.csv", outer)
+    _write_lines(outdir / "sloma_trace.csv", inner)
 
 
 def _write_reports(args, outdir: Path, seen, emerging, params, k: int):
     """Write report.{json,csv}, plus baseline_report.{json,csv} with
     ``--baseline knn``; returns the alignment report."""
     def write(stem, report):
-        (outdir / f"{stem}.json").write_text(report_json(report) + "\n", encoding="utf-8")
-        (outdir / f"{stem}.csv").write_text(
-            "\n".join(report_csv_lines(report)) + "\n", encoding="utf-8")
+        _write_lines(outdir / f"{stem}.json", [report_json(report)])
+        _write_lines(outdir / f"{stem}.csv", report_csv_lines(report))
 
     report = match_topk(seen, emerging, params, k=k, workers=args.workers)
     write("report", report)
     if args.baseline == "knn":
-        write("baseline_report", knn_baseline(seen, emerging, params, k=k))
+        # report.k is already clamped to the dataset size, so the clamp warns once.
+        write("baseline_report", knn_baseline(seen, emerging, params, k=report.k))
     return report
 
 
@@ -176,13 +201,12 @@ def cmd_dpw_align(args) -> int:
     _, tables = dpw(a, b)
     hipa = optimal_hipa(a, b, tables)
     lines = ["hs,ws,he,we,cost"]
-    for hs, ws, he, we in hipa.aligned_pairs():
-        diff = a.data[hs - 1, ws - 1] - b.data[he - 1, we - 1]
-        cost = float(np.sqrt(np.dot(diff, diff)))
+    for (hs, ws, he, we), cost in zip(hipa.aligned_pairs(),
+                                      _pair_costs(a.data, b.data, hipa).tolist()):
         lines.append(f"{hs},{ws},{he},{we},{cost!r}")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(out, lines)
     print(f"wrote {len(lines) - 1} aligned pairs to {out}")
     return 0
 
@@ -197,7 +221,7 @@ def cmd_synth_gen(args) -> int:
     emerging_manifest = save_dataset(emerging, outdir)
     truth_lines = ["emerging_class_id,seen_class_id"]
     truth_lines += [f"{e},{s}" for e, s in sorted(truth.items())]
-    (outdir / "truth.csv").write_text("\n".join(truth_lines) + "\n", encoding="utf-8")
+    _write_lines(outdir / "truth.csv", truth_lines)
     print(f"wrote {seen.size} classes to {seen_manifest} and {emerging_manifest}")
     return 0
 
@@ -226,14 +250,8 @@ def cmd_match_run(args) -> int:
     lines = ["emerging_id,seen_id,rank1_distance"]
     for (k, l), d in zip(final.pairs, final.pair_distances):
         lines.append(f"{emerging.class_ids[l]},{seen.class_ids[k]},{d!r}")
-    (outdir / "assignment.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (outdir / "trace.csv").write_text(
-        "\n".join(swim_trace_csv_lines(steps)) + "\n", encoding="utf-8")
-    inner_lines = ["T,t,match_cost,train_loss,param_delta"]
-    for step in steps:
-        for row in sloma_trace_csv_lines(step.inner)[1:]:
-            inner_lines.append(f"{step.iteration},{row}")
-    (outdir / "sloma_trace.csv").write_text("\n".join(inner_lines) + "\n", encoding="utf-8")
+    _write_lines(outdir / "assignment.csv", lines)
+    _write_traces(outdir, steps)
     save_adapter(params, outdir / "adapter.lfa")
 
     report = _write_reports(args, outdir, seen, emerging, params, cfg["topk"])

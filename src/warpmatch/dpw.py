@@ -6,6 +6,10 @@ monotonicity and unit-step constraints.  The minimum total element cost is
 the dpw distance, and the two-level path achieving it is recovered by
 backtracking through the stored tables.
 
+:func:`two_level_tables` is the one owner of that two-level volume layout:
+:func:`dpw` is its single-pair case, and the batched distance matrix in
+:mod:`warpmatch.swim` calls it once per chunk of stacked matrices.
+
 Index convention: hierarchical path nodes carry 1-based indices in the
 data model; everything internal is 0-based and converted at the boundary.
 """
@@ -15,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from .dtw import accumulate_tables, dtw_path, element_cost_volume
+from .dtw import accumulate_tables, dtw_path
 from .errors import ValidationError
 from .matrix import as_feature_array
 
@@ -58,6 +63,11 @@ class HiPa:
             for ws, we in node.cols:
                 yield node.hs, ws, node.he, we
 
+    def index_arrays(self) -> tuple:
+        """The aligned pairs as four 0-based intp arrays (hs, ws, he, we)."""
+        idx = np.array(list(self.aligned_pairs()), dtype=np.intp).reshape(-1, 4) - 1
+        return tuple(idx.T)
+
 
 @dataclass(frozen=True, eq=False)
 class DpwTables:
@@ -90,6 +100,27 @@ class DpwTables:
         return self.row_tables[:, :, h, e]
 
 
+def two_level_tables(costs: np.ndarray, n_s: int, shape_s, n_e: int, shape_e):
+    """Both levels of accumulated tables for a batch of matrix pairs.
+
+    ``costs`` is the element-distance block of ``n_s`` stacked (Hs, Ws)
+    sources against ``n_e`` stacked (He, We) targets, as ``cdist`` returns
+    it for the flattened stacks.  Returns ``(row_acc, hier_acc)``:
+    ``row_acc[:, :, s * Hs + h, t * He + f]`` is the DTW table of row h of
+    source s against row f of target t, and ``hier_acc[:, :, s, t]`` the
+    hierarchical table of that pair.
+    """
+    hs, ws = shape_s
+    he, we = shape_e
+    vol = costs.reshape(n_s * hs, ws, n_e * he, we).transpose(1, 3, 0, 2)
+    row_acc = accumulate_tables(np.ascontiguousarray(vol).reshape(ws, we, -1))
+    # A copy, not a view: row_acc[-1, -1] is part of the row tables that
+    # backtracking reads, and accumulate_tables works in place.
+    hier = row_acc[-1, -1].reshape(n_s, hs, n_e, he).transpose(1, 3, 0, 2).copy()
+    hier_acc = accumulate_tables(hier.reshape(hs, he, -1)).reshape(hs, he, n_s, n_e)
+    return row_acc.reshape(ws, we, n_s * hs, n_e * he), hier_acc
+
+
 def dpw(s, e) -> tuple[float, DpwTables]:
     """Dynamic position warping distance between two feature matrices.
 
@@ -105,15 +136,13 @@ def dpw(s, e) -> tuple[float, DpwTables]:
     """
     a = as_feature_array(s)
     b = as_feature_array(e)
-    if a.shape[2] != b.shape[2]:
-        raise ValidationError(f"channel mismatch: {a.shape[2]} vs {b.shape[2]}")
-    hs, ws = a.shape[0], a.shape[1]
-    he, we = b.shape[0], b.shape[1]
-    acc = accumulate_tables(element_cost_volume(a, b))
-    # acc[-1, -1] is a view into the row tables that backtracking reads.
-    hier = accumulate_tables(acc[-1, -1].reshape(hs, he, 1).copy())[:, :, 0]
-    tables = DpwTables(hier, acc.reshape(ws, we, hs, he), a, b)
-    return float(hier[-1, -1]), tables
+    c = a.shape[2]
+    if b.shape[2] != c:
+        raise ValidationError(f"channel mismatch: {c} vs {b.shape[2]}")
+    row_acc, hier_acc = two_level_tables(
+        cdist(a.reshape(-1, c), b.reshape(-1, c)), 1, a.shape[:2], 1, b.shape[:2])
+    tables = DpwTables(hier_acc[:, :, 0, 0], row_acc, a, b)
+    return tables.distance, tables
 
 
 def optimal_hipa(s, e, tables: DpwTables | None = None) -> HiPa:
@@ -149,15 +178,14 @@ def path_cost(s, e, hipa: HiPa) -> float:
     violations = validate_hipa(hipa, (a.shape[0], a.shape[1]), (b.shape[0], b.shape[1]))
     if violations:
         raise ValidationError(violations[0])
-    total = 0.0
-    for node in hipa.nodes:
-        row_s = a[node.hs - 1]
-        row_e = b[node.he - 1]
-        iw = np.fromiter((ws - 1 for ws, _ in node.cols), dtype=np.intp)
-        je = np.fromiter((we - 1 for _, we in node.cols), dtype=np.intp)
-        diff = row_s[iw] - row_e[je]
-        total += float(np.sqrt((diff * diff).sum(axis=1)).sum())
-    return total
+    return float(_pair_costs(a, b, hipa).sum())
+
+
+def _pair_costs(a: np.ndarray, b: np.ndarray, hipa: HiPa) -> np.ndarray:
+    """Euclidean distance of every aligned element pair, in path order."""
+    hs, ws, he, we = hipa.index_arrays()
+    diff = a[hs, ws] - b[he, we]
+    return np.sqrt((diff * diff).sum(axis=1))
 
 
 def validate_hipa(hipa: HiPa, shape_s, shape_e) -> list[str]:

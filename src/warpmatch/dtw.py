@@ -3,9 +3,11 @@
 The accumulated-cost table is always kept in full because the hierarchical
 aligner backtracks through interior prefix values.  One accumulation kernel,
 :func:`accumulate_tables`, is the only alignment DP in the library: it
-powers plain DTW, both levels of dpw and the batched distance-matrix driver.
-It runs the recurrence over a whole batch of problems at once and in place,
-which is what makes plain numpy fast enough here.
+powers plain DTW here and both levels of
+:func:`warpmatch.dpw.two_level_tables`, which owns the two-level volume
+layout for ``dpw`` and the batched distance matrix.  It runs the recurrence
+over a whole batch of problems at once and in place, which is what makes
+plain numpy fast enough here.
 """
 
 from __future__ import annotations
@@ -51,20 +53,6 @@ def accumulate_tables(vol: np.ndarray) -> np.ndarray:
             cell = cur[j]
             cell += best
     return vol
-
-
-def element_cost_volume(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between all element pairs of two (H, W, C) stacks.
-
-    Returned as a (Wa, Wb, Ha*Hb) volume: one alignment problem per row pair,
-    laid out so that problem ``h_a * Hb + h_b`` aligns row h_a of ``a`` with
-    row h_b of ``b``.
-    """
-    ha, wa, c = a.shape
-    hb, wb, _ = b.shape
-    d = cdist(a.reshape(ha * wa, c), b.reshape(hb * wb, c))
-    vol = d.reshape(ha, wa, hb, wb).transpose(1, 3, 0, 2)
-    return np.ascontiguousarray(vol).reshape(wa, wb, ha * hb)
 
 
 def dtw(row_a, row_b) -> tuple[float, np.ndarray]:

@@ -57,24 +57,10 @@ class SlomaStep:
     weight_delta: float
 
 
-def sloma_trace_csv_lines(steps) -> list[str]:
-    lines = ["t,match_cost,train_loss,param_delta"]
-    for s in steps:
-        lines.append(f"{s.iteration},{s.match_cost!r},{s.train_loss!r},{s.weight_delta!r}")
-    return lines
-
-
 def _element_pairs(seen_arr, raw_e_arr, hipa):
     """Training arrays (raw emerging inputs, seen targets) along one path."""
-    xs, ys = [], []
-    for node in hipa.nodes:
-        row_s = seen_arr[node.hs - 1]
-        row_e = raw_e_arr[node.he - 1]
-        iw = np.fromiter((ws - 1 for ws, _ in node.cols), dtype=np.intp)
-        je = np.fromiter((we - 1 for _, we in node.cols), dtype=np.intp)
-        xs.append(row_e[je])
-        ys.append(row_s[iw])
-    return np.concatenate(xs), np.concatenate(ys)
+    hs, ws, he, we = hipa.index_arrays()
+    return raw_e_arr[he, we], seen_arr[hs, ws]
 
 
 def run_sloma(seen, emerging, pairs: MatchedPairSet, params0: AdapterParams,

@@ -63,6 +63,20 @@ def enumerate_hipas(shape_s, shape_e):
             ))
 
 
+def element_pairs_per_node(seen_arr, raw_e_arr, hipa):
+    """Training arrays (raw emerging inputs, seen targets) gathered one row
+    node at a time, in path order."""
+    xs, ys = [], []
+    for node in hipa.nodes:
+        row_s = seen_arr[node.hs - 1]
+        row_e = raw_e_arr[node.he - 1]
+        iw = np.fromiter((ws - 1 for ws, _ in node.cols), dtype=np.intp)
+        je = np.fromiter((we - 1 for _, we in node.cols), dtype=np.intp)
+        xs.append(row_e[je])
+        ys.append(row_s[iw])
+    return np.concatenate(xs), np.concatenate(ys)
+
+
 def brute_min_row_cost(row_a, row_b):
     """Minimum pairing cost between two scalar rows over all enumerated paths."""
     best = None

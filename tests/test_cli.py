@@ -38,6 +38,15 @@ class TestRunConfig:
         with pytest.raises(ValidationError, match="bad value"):
             load_run_config(None, overrides=["alpha=two"])
 
+    def test_dropout_spellings(self):
+        for value, expected in (("on", True), ("YES", True), ("1", True),
+                                ("off", False), ("False", False), ("0", False)):
+            assert load_run_config(None, overrides=[f"dropout={value}"])["dropout"] is expected
+
+    def test_unknown_dropout_value_rejected(self):
+        with pytest.raises(ValidationError, match="bad value 'ture' for key 'dropout'"):
+            load_run_config(None, overrides=["dropout=ture"])
+
     def test_resolved_lines_cover_every_key(self):
         cfg = load_run_config(None)
         lines = resolved_config_lines(cfg)
@@ -141,10 +150,25 @@ class TestMatchRun:
     def test_rerun_is_byte_identical(self, small_task, tmp_path, capsys):
         out1 = tmp_path / "r1"
         out2 = tmp_path / "r2"
-        assert main(run_args(small_task, out1)) == 0
-        assert main(run_args(small_task, out2)) == 0
-        for name in ("assignment.csv", "trace.csv", "report.json", "adapter.lfa"):
+        assert main(run_args(small_task, out1, ("--baseline", "knn"))) == 0
+        assert main(run_args(small_task, out2, ("--baseline", "knn"))) == 0
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        assert {"sloma_trace.csv", "report.csv", "baseline_report.json",
+                "baseline_report.csv"} <= set(names)
+        for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_k_above_dataset_size_warns_once(self, small_task, tmp_path, capsys):
+        with pytest.warns(UserWarning) as record:
+            assert main(run_args(small_task, tmp_path / "run", ("--baseline", "knn"))) == 0
+        clamps = [w for w in record if "clamping" in str(w.message)]
+        assert len(clamps) == 1
+        assert str(clamps[0].message) == "k=5 exceeds dataset size 4; clamping"
+
+    def test_unknown_dropout_value_exit_2(self, small_task, tmp_path, capsys):
+        assert main(run_args(small_task, tmp_path / "run", ("--set", "dropout=ture"))) == 2
+        assert "bad value 'ture' for key 'dropout'" in capsys.readouterr().err
 
     def test_eval_topk_on_saved_adapter(self, small_task, tmp_path, capsys):
         run_out = tmp_path / "run"

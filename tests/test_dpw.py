@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from warpmatch import (
     ValidationError,
@@ -9,7 +10,7 @@ from warpmatch import (
     path_cost,
     validate_hipa,
 )
-from warpmatch.dpw import HiPa, PathNode
+from warpmatch.dpw import HiPa, PathNode, two_level_tables
 
 
 from oracles import brute_dpw_min, enum_paths_rec, enumerate_hipas, lattice_paths
@@ -110,6 +111,26 @@ class TestDpwDistance:
                 assert np.array_equal(tables.row_table(h, e), table)
 
 
+class TestTwoLevelTables:
+    def test_batch_tables_equal_per_pair_dpw(self):
+        rng = np.random.default_rng(15)
+        hs, ws, he, we, c = 3, 4, 2, 5, 3
+        sources = rng.uniform(0, 5, (2, hs, ws, c))
+        targets = rng.uniform(0, 5, (3, he, we, c))
+        row_acc, hier_acc = two_level_tables(
+            cdist(sources.reshape(-1, c), targets.reshape(-1, c)),
+            2, (hs, ws), 3, (he, we))
+        assert row_acc.shape == (ws, we, 2 * hs, 3 * he)
+        assert hier_acc.shape == (hs, he, 2, 3)
+        for s in range(2):
+            for t in range(3):
+                d, tables = dpw(sources[s], targets[t])
+                assert hier_acc[-1, -1, s, t] == d
+                assert np.array_equal(hier_acc[:, :, s, t], tables.hier_acc)
+                block = row_acc[:, :, s * hs:(s + 1) * hs, t * he:(t + 1) * he]
+                assert np.array_equal(block, tables.row_tables)
+
+
 class TestOptimalHipa:
     def test_1x1_forced(self):
         hipa = optimal_hipa(np.ones((1, 1)), np.zeros((1, 1)))
@@ -135,6 +156,13 @@ class TestOptimalHipa:
             b = rng.uniform(0, 5, (he, we, c))
             hipa = optimal_hipa(a, b)
             assert validate_hipa(hipa, (hs, ws), (he, we)) == []
+
+    def test_index_arrays_follow_aligned_pairs(self):
+        rng = np.random.default_rng(16)
+        hipa = optimal_hipa(rng.uniform(0, 5, (3, 4, 2)), rng.uniform(0, 5, (2, 3, 2)))
+        idx = hipa.index_arrays()
+        assert all(i.dtype == np.intp for i in idx)
+        assert list(zip(*(i + 1 for i in idx))) == list(hipa.aligned_pairs())
 
     def test_cost_never_below_distance_on_sampled_paths(self):
         rng = np.random.default_rng(14)

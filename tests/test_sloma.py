@@ -13,7 +13,11 @@ from warpmatch import (
     param_delta,
     run_sloma,
 )
+from warpmatch.dpw import optimal_hipa
+from warpmatch.sloma import _element_pairs
 from warpmatch.swim import dpw_distance_matrix
+
+from oracles import element_pairs_per_node
 
 
 def identity_pairs(n):
@@ -28,6 +32,20 @@ class TestMatchedPairSet:
     def test_seen_indices_may_repeat(self):
         ps = MatchedPairSet(((0, 1), (0, 2)))
         assert ps.n == 2
+
+
+class TestElementPairs:
+    def test_equals_per_node_gather(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            hs, ws, he, we = (int(v) for v in rng.integers(1, 7, 4))
+            c = int(rng.integers(1, 5))
+            seen = rng.uniform(0, 5, (hs, ws, c))
+            emerging = rng.uniform(0, 5, (he, we, c))
+            hipa = optimal_hipa(seen, emerging)
+            x, y = _element_pairs(seen, emerging, hipa)
+            x_ref, y_ref = element_pairs_per_node(seen, emerging, hipa)
+            assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
 
 
 class TestRunSloma:
@@ -104,8 +122,7 @@ class TestRunSloma:
         assert not params.pass_through
 
     def test_optimize_step_does_not_increase_fixed_path_objective(self):
-        from warpmatch import dpw, optimal_hipa, path_cost, train_on_pairs
-        from warpmatch.sloma import _element_pairs
+        from warpmatch import dpw, path_cost, train_on_pairs
 
         cfg = SynthConfig(n_classes=3, height=5, width=5, channels=3,
                           warp=0.0, map_kind="affine_sigmoid", map_gain=2.0,

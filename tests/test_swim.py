@@ -14,6 +14,7 @@ from warpmatch import (
     gen_task,
     run_swim,
 )
+from warpmatch import swim
 from warpmatch.swim import _greedy_pairs, _topk_hits
 
 
@@ -50,6 +51,18 @@ class TestDistanceMatrix:
         for i in range(len(seen)):
             for j in range(len(emerging)):
                 assert d[i, j] == dpw(seen[i], emerging[j])[0]
+
+    def test_one_target_per_chunk_matches_default(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        seen = [rng.uniform(0, 5, (3, 3, 2)) for _ in range(3)] + [rng.uniform(0, 5, (2, 4, 2))]
+        emerging = [rng.uniform(0, 5, (2, 3, 2)) for _ in range(4)] + [rng.uniform(0, 5, (3, 3, 2))]
+        default = dpw_distance_matrix(seen, emerging)
+        monkeypatch.setattr(swim, "_CHUNK_BUDGET", 1)
+        chunked = dpw_distance_matrix(seen, emerging)
+        assert np.array_equal(chunked, default)
+        for i in range(len(seen)):
+            for j in range(len(emerging)):
+                assert chunked[i, j] == dpw(seen[i], emerging[j])[0]
 
     def test_parallel_equals_serial(self):
         rng = np.random.default_rng(3)
