@@ -27,6 +27,13 @@ from .matrix import as_feature_array
 
 _STEPS = ((1, 1), (1, 0), (0, 1))
 
+# Largest element-distance block (float64 count) that two_level_tables
+# copies into contiguous cells before the row-level DP.  On small blocks the
+# DP is per-call overhead, which a strided cell about doubles, and the copy
+# is cheap; on large ones a second array of the block's size costs more in
+# memory traffic and page faults than the strided cells do.
+_CONTIGUOUS_MAX = 1 << 16
+
 
 @dataclass(frozen=True)
 class PathNode:
@@ -100,25 +107,44 @@ class DpwTables:
         return self.row_tables[:, :, h, e]
 
 
+def column_rows(stack: np.ndarray) -> np.ndarray:
+    """The elements of an (N, H, W, C) stack as rows ordered by column, matrix, row.
+
+    This is the order :func:`two_level_tables` expects for the sources of its
+    element-distance block.
+    """
+    return np.ascontiguousarray(stack.transpose(2, 0, 1, 3)).reshape(-1, stack.shape[3])
+
+
 def two_level_tables(costs: np.ndarray, n_s: int, shape_s, n_e: int, shape_e):
     """Both levels of accumulated tables for a batch of matrix pairs.
 
-    ``costs`` is the element-distance block of ``n_s`` stacked (Hs, Ws)
-    sources against ``n_e`` stacked (He, We) targets, as ``cdist`` returns
-    it for the flattened stacks.  Returns ``(row_acc, hier_acc)``:
+    ``costs`` is ``cdist(targets.reshape(-1, C), column_rows(sources))`` for
+    ``n_e`` stacked (He, We, C) targets and ``n_s`` stacked (Hs, Ws, C)
+    sources.  In that layout each (target column, source column) cell of the
+    row-pair problems is a slab of the block whose rows run contiguously
+    over all source rows, so the row level accumulates in the block itself
+    (overwriting ``costs``) with no transposed copy; only blocks of at most
+    ``_CONTIGUOUS_MAX`` entries are copied first.  The DP runs with the
+    target column as first index; the recurrence is symmetric, so its
+    tables are the transposes of the source-first ones, bit for bit.
+
+    Returns ``(row_acc, hier_acc)``, both indexed source first:
     ``row_acc[:, :, s * Hs + h, t * He + f]`` is the DTW table of row h of
     source s against row f of target t, and ``hier_acc[:, :, s, t]`` the
     hierarchical table of that pair.
     """
     hs, ws = shape_s
     he, we = shape_e
-    vol = costs.reshape(n_s * hs, ws, n_e * he, we).transpose(1, 3, 0, 2)
-    row_acc = accumulate_tables(np.ascontiguousarray(vol).reshape(ws, we, -1))
-    # A copy, not a view: row_acc[-1, -1] is part of the row tables that
+    vol = costs.reshape(n_e * he, we, ws, n_s * hs).transpose(1, 2, 0, 3)
+    if costs.size <= _CONTIGUOUS_MAX:
+        vol = np.ascontiguousarray(vol).reshape(we, ws, -1)
+    acc = accumulate_tables(vol).reshape(we, ws, n_e * he, n_s * hs)
+    # A copy, not a view: acc[-1, -1] is part of the row tables that
     # backtracking reads, and accumulate_tables works in place.
-    hier = row_acc[-1, -1].reshape(n_s, hs, n_e, he).transpose(1, 3, 0, 2).copy()
-    hier_acc = accumulate_tables(hier.reshape(hs, he, -1)).reshape(hs, he, n_s, n_e)
-    return row_acc.reshape(ws, we, n_s * hs, n_e * he), hier_acc
+    hier = acc[-1, -1].reshape(n_e, he, n_s, hs).transpose(3, 1, 2, 0).copy()
+    accumulate_tables(hier.reshape(hs, he, -1))
+    return acc.transpose(1, 0, 3, 2), hier
 
 
 def dpw(s, e) -> tuple[float, DpwTables]:
@@ -140,7 +166,7 @@ def dpw(s, e) -> tuple[float, DpwTables]:
     if b.shape[2] != c:
         raise ValidationError(f"channel mismatch: {c} vs {b.shape[2]}")
     row_acc, hier_acc = two_level_tables(
-        cdist(a.reshape(-1, c), b.reshape(-1, c)), 1, a.shape[:2], 1, b.shape[:2])
+        cdist(b.reshape(-1, c), column_rows(a[None])), 1, a.shape[:2], 1, b.shape[:2])
     tables = DpwTables(hier_acc[:, :, 0, 0], row_acc, a, b)
     return tables.distance, tables
 

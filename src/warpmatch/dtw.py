@@ -30,13 +30,14 @@ def _as_rows(row) -> np.ndarray:
 def accumulate_tables(vol: np.ndarray) -> np.ndarray:
     """Accumulated-cost tables for a batch of alignment problems, in place.
 
-    ``vol[i, j, b]`` is the local cost of pairing position i with position j
-    in problem b.  ``vol`` is overwritten with its tables and returned: they
-    obey the running-sum boundary cases and the interior recurrence
+    ``vol[i, j, ...]`` is the local cost of pairing position i with position
+    j, one problem per index of the trailing axes; ``vol`` may be a strided
+    view.  It is overwritten with its tables and returned: they obey the
+    running-sum boundary cases and the interior recurrence
     ``acc[i, j] = min(acc[i-1, j-1], acc[i-1, j], acc[i, j-1]) + vol[i, j]``.
     Callers that only need the final costs read ``[-1, -1]``.
     """
-    n, m, _ = vol.shape
+    n, m = vol.shape[:2]
     for i in range(1, n):
         cell = vol[i, 0]
         cell += vol[i - 1, 0]

@@ -25,13 +25,14 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .adapter import TrainConfig, adapt_matrix, init_adapter
-from .dpw import two_level_tables
+from .dpw import column_rows, two_level_tables
 from .errors import ValidationError
 from .matrix import as_feature_array
 from .sloma import MatchedPairSet, run_sloma
 
-# Cap on the float64s a distance-matrix chunk holds at once: its element-
-# distance block plus the contiguous transposed copy the kernel lays out.
+# Cap on the element-distance block of one distance-matrix chunk (float64
+# count); the kernel accumulates in that block, so it is the chunk's one
+# large array.
 _CHUNK_BUDGET = 3_000_000
 
 
@@ -84,23 +85,16 @@ def _by_shape(arrs) -> dict[tuple, list[int]]:
 def _block_distances(arrs_a, arrs_b) -> np.ndarray:
     """Alignment distances for every (a, b) matrix pair, grouped by shape."""
     out = np.empty((len(arrs_a), len(arrs_b)))
-    c = arrs_a[0].shape[2]
     groups_b = _by_shape(arrs_b)
     for (hs, ws), ia in _by_shape(arrs_a).items():
-        flat_a = np.stack([arrs_a[i] for i in ia]).reshape(-1, c)
+        rows_a = column_rows(np.stack([arrs_a[i] for i in ia]))
         for (he, we), jb in groups_b.items():
-            per_b = 2 * len(ia) * hs * ws * he * we
-            chunk = max(1, _CHUNK_BUDGET // per_b)
+            chunk = max(1, _CHUNK_BUDGET // (len(ia) * hs * ws * he * we))
             for start in range(0, len(jb), chunk):
                 jchunk = jb[start:start + chunk]
-                flat_b = np.stack([arrs_b[j] for j in jchunk]).reshape(-1, c)
-                # Rebinding frees the previous block only after this cdist, so
-                # at most two blocks are alive and malloc reuses their memory;
-                # freeing both arrays of a chunk together let it return them to
-                # the OS, and faulting them back in slowed `rank` by about 6%.
-                block = cdist(flat_a, flat_b)
+                rows_b = np.stack([arrs_b[j] for j in jchunk]).reshape(len(jchunk) * he * we, -1)
                 out[np.ix_(ia, jchunk)] = two_level_tables(
-                    block, len(ia), (hs, ws), len(jchunk), (he, we))[1][-1, -1]
+                    cdist(rows_b, rows_a), len(ia), (hs, ws), len(jchunk), (he, we))[1][-1, -1]
     return out
 
 

@@ -1,3 +1,5 @@
+from importlib import import_module
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -10,7 +12,10 @@ from warpmatch import (
     path_cost,
     validate_hipa,
 )
-from warpmatch.dpw import HiPa, PathNode, two_level_tables
+from warpmatch.dpw import HiPa, PathNode, column_rows, two_level_tables
+
+# By import path: the package's `dpw` attribute is the function, not the module.
+dpw_module = import_module("warpmatch.dpw")
 
 
 from oracles import brute_dpw_min, enum_paths_rec, enumerate_hipas, lattice_paths
@@ -113,12 +118,21 @@ class TestDpwDistance:
 
 class TestTwoLevelTables:
     def test_batch_tables_equal_per_pair_dpw(self):
+        self._check_batch_against_dpw()
+
+    def test_strided_cells_equal_per_pair_dpw(self, monkeypatch):
+        """Blocks above the copy cap accumulate in place, in strided cells."""
+        monkeypatch.setattr(dpw_module, "_CONTIGUOUS_MAX", 0)
+        self._check_batch_against_dpw()
+
+    @staticmethod
+    def _check_batch_against_dpw():
         rng = np.random.default_rng(15)
         hs, ws, he, we, c = 3, 4, 2, 5, 3
         sources = rng.uniform(0, 5, (2, hs, ws, c))
         targets = rng.uniform(0, 5, (3, he, we, c))
         row_acc, hier_acc = two_level_tables(
-            cdist(sources.reshape(-1, c), targets.reshape(-1, c)),
+            cdist(targets.reshape(-1, c), column_rows(sources)),
             2, (hs, ws), 3, (he, we))
         assert row_acc.shape == (ws, we, 2 * hs, 3 * he)
         assert hier_acc.shape == (hs, he, 2, 3)
