@@ -263,11 +263,14 @@ def _pairs_to_arrays(pairs):
             x = x[None, :]
             y = np.atleast_1d(y)[None, :]
     else:
-        seq = list(pairs)
+        try:
+            seq = [(p, t) for p, t in pairs]
+        except (TypeError, ValueError):
+            raise ValidationError("every training pair must be an (input, target) pair") from None
         if not seq:
             raise ValidationError("no training pairs")
-        x = np.stack([np.atleast_1d(np.asarray(p[0], dtype=np.float64)) for p in seq])
-        y = np.stack([np.atleast_1d(np.asarray(p[1], dtype=np.float64)) for p in seq])
+        x = np.stack([np.atleast_1d(np.asarray(p, dtype=np.float64)) for p, _ in seq])
+        y = np.stack([np.atleast_1d(np.asarray(t, dtype=np.float64)) for _, t in seq])
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValidationError("no training pairs")
     if x.shape != y.shape:

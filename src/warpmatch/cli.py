@@ -19,13 +19,7 @@ from .adapter import TrainConfig, load_adapter, save_adapter
 from .dpw import _pair_costs, dpw, optimal_hipa
 from .errors import DivergenceError, FormatError, ValidationError
 from .evaluate import knn_baseline, match_topk, report_csv_lines, report_json
-from .matrix import (
-    Dataset,
-    load_dataset,
-    load_matrix,
-    load_matrix_csv,
-    save_dataset,
-)
+from .matrix import load_dataset, load_matrix, load_matrix_csv, save_dataset, text_lines
 from .swim import SwimConfig, run_swim
 from .synth import SynthConfig, gen_task
 
@@ -87,11 +81,10 @@ def load_run_config(path=None, overrides=()) -> dict:
     """Resolve defaults, then file values, then --set overrides."""
     cfg = {k: d for k, (_, d) in _SCHEMA.items()}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                item = _parse_config_line(line, f"{path}:{lineno}")
-                if item:
-                    cfg[item[0]] = item[1]
+        for lineno, line in text_lines(path):
+            item = _parse_config_line(line, f"{path}:{lineno}")
+            if item:
+                cfg[item[0]] = item[1]
     for ov in overrides:
         item = _parse_config_line(ov, f"--set {ov!r}")
         if item is None:
@@ -226,12 +219,6 @@ def cmd_synth_gen(args) -> int:
     return 0
 
 
-def _index_truth(seen: Dataset, emerging: Dataset):
-    """truth[l] = seen index with the same class id as emerging entry l."""
-    by_class = {cid: i for i, cid in enumerate(seen.class_ids)}
-    return [by_class[cid] for cid in emerging.class_ids]
-
-
 def cmd_match_run(args) -> int:
     cfg = load_run_config(args.config, args.set or ())
     outdir = Path(args.outdir)
@@ -239,12 +226,9 @@ def cmd_match_run(args) -> int:
     _write_resolved(cfg, outdir)
     seen = load_dataset(args.seen)
     emerging = load_dataset(args.emerging)
-    if set(seen.class_ids) != set(emerging.class_ids):
-        raise ValidationError("seen and emerging datasets must share one class-id set")
-    truth = _index_truth(seen, emerging)
     assignment, params, steps = run_swim(
         seen.matrices, emerging.matrices, _swim_config(cfg),
-        truth=truth, workers=args.workers)
+        class_ids=(seen.class_ids, emerging.class_ids), workers=args.workers)
 
     final = steps[-1]
     lines = ["emerging_id,seen_id,rank1_distance"]

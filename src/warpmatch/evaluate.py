@@ -1,8 +1,10 @@
 """Top-k match reports and the pointwise-distance nearest-template baseline.
 
 Ground truth is class-id equality across the two modality datasets; the
-evaluator refuses dataset pairs whose class-id sets differ.  Ranking ties
-break toward the lower class id so reports are deterministic.
+evaluator refuses dataset pairs whose class-id sets differ.  Every ranking
+follows one rule, :func:`warpmatch.swim.rank_columns`: ascending distance,
+ties to the lower seen class id.  ``run_swim``'s per-iteration accuracies
+use the same function, so a trace and a report on the same adapter agree.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .adapter import AdapterParams, adapt_matrix
 from .errors import ValidationError
 from .matrix import Dataset
-from .swim import dpw_distance_matrix
+from .swim import dpw_distance_matrix, rank_columns
 
 
 @dataclass(frozen=True)
@@ -42,21 +44,12 @@ class MatchReport:
 
 
 def _build_report(dist, seen_ids, emerging_ids, k) -> MatchReport:
-    n_seen = len(seen_ids)
-    order_ids = np.asarray(seen_ids)
-    items = []
-    hits1 = hits5 = 0
-    for j, cid in enumerate(emerging_ids):
-        col = dist[:, j]
-        order = sorted(range(n_seen), key=lambda i: (col[i], order_ids[i]))
-        ranked = tuple((int(order_ids[i]), float(col[i])) for i in order)
-        if ranked[0][0] == cid:
-            hits1 += 1
-        if any(c == cid for c, _ in ranked[:min(5, n_seen)]):
-            hits5 += 1
-        items.append(ItemMatches(int(cid), ranked[:k]))
-    n = len(emerging_ids)
-    return MatchReport(tuple(items), hits1 / n, hits5 / n, k)
+    order, top1, top5 = rank_columns(dist, seen_ids, emerging_ids)
+    ids = np.asarray(seen_ids)[order[:k]].T.tolist()
+    dists = np.take_along_axis(dist, order[:k], axis=0).T.tolist()
+    items = tuple(ItemMatches(int(cid), tuple(zip(i, d)))
+                  for cid, i, d in zip(emerging_ids, ids, dists))
+    return MatchReport(items, top1, top5, k)
 
 
 def _check_datasets(seen: Dataset, emerging: Dataset, k: int) -> int:

@@ -9,6 +9,7 @@ matrices.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -149,6 +150,16 @@ def load_matrix(path) -> FeatureMatrix:
     return FeatureMatrix(flat.reshape(h, w, c))
 
 
+def text_lines(path):
+    """Numbered lines of a UTF-8 text file, read as text mode reads them;
+    a byte that is not UTF-8 raises FormatError naming its offset."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
+    return enumerate(io.StringIO(text, newline=None), 1)
+
+
 def load_matrix_csv(path) -> FeatureMatrix:
     """Read a scalar (C=1) feature matrix from a CSV file of numbers.
 
@@ -156,22 +167,21 @@ def load_matrix_csv(path) -> FeatureMatrix:
     """
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            try:
-                values = [float(tok) for tok in s.split(",")]
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise FormatError(
-                    f"{path}:{lineno}: expected {width} values, found {len(values)}"
-                )
-            rows.append(values)
+    for lineno, line in text_lines(path):
+        s = line.strip()
+        if not s or s.startswith("#"):
+            continue
+        try:
+            values = [float(tok) for tok in s.split(",")]
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise FormatError(
+                f"{path}:{lineno}: expected {width} values, found {len(values)}"
+            )
+        rows.append(values)
     if not rows:
         raise FormatError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=np.float64)
@@ -207,6 +217,8 @@ class Dataset:
                     f"channel mismatch in dataset {self.name!r}: class_id {cid} "
                     f"has C={m.channels}, expected C={channels}"
                 )
+        if not entries:
+            raise ValidationError(f"dataset {self.name!r} has no entries")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -235,23 +247,22 @@ def load_dataset(manifest_path, name: str | None = None) -> Dataset:
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     entries = []
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            head, sep, rel = s.partition(",")
-            if not sep or not rel.strip():
-                raise FormatError(
-                    f"{manifest_path}:{lineno}: expected '<class_id>,<relative_path>'"
-                )
-            try:
-                cid = int(head.strip())
-            except ValueError:
-                raise FormatError(
-                    f"{manifest_path}:{lineno}: class_id {head.strip()!r} is not an integer"
-                ) from None
-            entries.append((cid, load_matrix(base / rel.strip())))
+    for lineno, line in text_lines(manifest_path):
+        s = line.strip()
+        if not s or s.startswith("#"):
+            continue
+        head, sep, rel = s.partition(",")
+        if not sep or not rel.strip() or "\0" in rel:
+            raise FormatError(
+                f"{manifest_path}:{lineno}: expected '<class_id>,<relative_path>'"
+            )
+        try:
+            cid = int(head.strip())
+        except ValueError:
+            raise FormatError(
+                f"{manifest_path}:{lineno}: class_id {head.strip()!r} is not an integer"
+            ) from None
+        entries.append((cid, load_matrix(base / rel.strip())))
     return Dataset(name or manifest_path.stem, tuple(entries))
 
 

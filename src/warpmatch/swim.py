@@ -60,7 +60,7 @@ class SwimConfig:
 @dataclass(frozen=True)
 class SwimStep:
     """One outer iteration: the pair set built, its selection distances
-    (nondecreasing by construction), accuracies when truth was supplied,
+    (nondecreasing by construction), accuracies when class ids were supplied,
     and the inner-loop trace."""
 
     iteration: int
@@ -129,6 +129,20 @@ def dpw_distance_matrix(seen, emerging, workers: int | None = None) -> np.ndarra
     return np.hstack(blocks)
 
 
+def rank_columns(dist: np.ndarray, seen_ids, emerging_ids) -> tuple:
+    """Rank every column of ``dist`` (seen x emerging) by the one ranking rule:
+    ascending distance, ties to the lower seen class id.
+
+    Returns ``(order, top1, top5)``: ``order[:, j]`` lists the seen indices
+    best first for emerging column j; top-k is the fraction of columns whose
+    emerging id is among the seen ids of their first min(k, n_seen) rows."""
+    seen_ids = np.asarray(seen_ids)
+    order = np.lexsort((np.broadcast_to(seen_ids[:, None], dist.shape), dist), axis=0)
+    hits = seen_ids[order[:5]] == np.asarray(emerging_ids)
+    top1, top5 = (int(np.count_nonzero(h)) / dist.shape[1] for h in (hits[0], hits.any(axis=0)))
+    return order, top1, top5
+
+
 # ---------------------------------------------------------------------------
 # Outer loop
 
@@ -149,31 +163,17 @@ def _greedy_pairs(dist: np.ndarray, n: int) -> tuple[MatchedPairSet, tuple]:
     return MatchedPairSet(tuple(pairs)), tuple(dists)
 
 
-def _topk_hits(dist: np.ndarray, truth, ks=(1, 5)) -> tuple:
-    """Fraction of emerging columns whose true seen row ranks within k."""
-    n_seen, n_em = dist.shape
-    hits = {k: 0 for k in ks}
-    for l in range(n_em):
-        col = dist[:, l]
-        t = truth[l]
-        rank = int((col < col[t]).sum() + (col[:t] == col[t]).sum())
-        for k in ks:
-            if rank < min(k, n_seen):
-                hits[k] += 1
-    return tuple(hits[k] / n_em for k in ks)
-
-
-def run_swim(seen, emerging, cfg: SwimConfig, truth=None, workers: int | None = None):
+def run_swim(seen, emerging, cfg: SwimConfig, class_ids=None, workers: int | None = None):
     """Match two equally sized modality sets end to end.
 
     Parameters
     ----------
     seen, emerging : sequences of FeatureMatrix (or arrays), same length N
     cfg : SwimConfig
-    truth : optional sequence of int
-        ``truth[l]`` is the seen index that emerging matrix l should match;
-        when given, every outer iteration records top-1/top-5 accuracy under
-        the freshly trained adapter.
+    class_ids : optional ``(seen_ids, emerging_ids)``, the same N unique ids
+        When given, every outer iteration records top-1/top-5 accuracy under
+        the freshly trained adapter by the reports' one ranking rule,
+        :func:`rank_columns`: ascending distance, ties to the lower seen class id.
     workers : worker count for the distance-matrix driver.
 
     Returns
@@ -187,6 +187,11 @@ def run_swim(seen, emerging, cfg: SwimConfig, truth=None, workers: int | None = 
         raise ValidationError("seen and emerging sets must be nonempty and equally sized")
     if cfg.alpha > n_total:
         raise ValidationError(f"alpha {cfg.alpha} exceeds set size {n_total}")
+    if class_ids is not None:
+        seen_ids, emerging_ids = class_ids
+        if not (len(seen_ids) == len(emerging_ids) == len(set(seen_ids)) == n_total
+                and set(emerging_ids) == set(seen_ids)):
+            raise ValidationError(f"class_ids must be the same {n_total} unique ids on both sides")
     channels = as_feature_array(seen[0]).shape[2]
     params = init_adapter(channels, cfg.hidden, seed=cfg.seed,
                           dropout_p=cfg.dropout_p, pass_through=True)
@@ -203,8 +208,8 @@ def run_swim(seen, emerging, cfg: SwimConfig, truth=None, workers: int | None = 
                                   cfg.eps, cfg.train, cfg.max_sloma_iters)
         dist = dpw_distance_matrix(seen, [adapt_matrix(params, m) for m in emerging], workers)
         top1 = top5 = None
-        if truth is not None:
-            top1, top5 = _topk_hits(dist, truth)
+        if class_ids is not None:
+            _, top1, top5 = rank_columns(dist, seen_ids, emerging_ids)
         steps.append(SwimStep(t_outer, n_t, pairs, sel_dists, top1, top5, tuple(inner)))
         if n_t == n_total:
             break

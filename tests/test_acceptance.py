@@ -62,17 +62,17 @@ def swim_config(alpha):
 
 @pytest.fixture(scope="module")
 def e2e_task():
-    seen, emerging, truth_map = gen_task(TASK_CFG)
-    truth = [truth_map[cid] for cid in emerging.class_ids]
-    return seen, emerging, truth
+    seen, emerging, _ = gen_task(TASK_CFG)
+    return seen, emerging
 
 
 @pytest.fixture(scope="module")
 def e2e_alpha1(e2e_task):
-    seen, emerging, truth = e2e_task
+    seen, emerging = e2e_task
     started = time.perf_counter()
     assignment, params, steps = run_swim(
-        seen.matrices, emerging.matrices, swim_config(1), truth=truth)
+        seen.matrices, emerging.matrices, swim_config(1),
+        class_ids=(seen.class_ids, emerging.class_ids))
     elapsed = time.perf_counter() - started
     return assignment, params, steps, elapsed
 
@@ -188,7 +188,7 @@ def test_criterion_06_sloma_recovery(capsys):
 
 
 def test_criterion_07_end_to_end_swim(e2e_task, e2e_alpha1, capsys):
-    seen, emerging, _ = e2e_task
+    seen, emerging = e2e_task
     _, params, steps, elapsed = e2e_alpha1
     rep = match_topk(seen, emerging, params, k=5)
     base = knn_baseline(seen, emerging, params, k=5)
@@ -203,7 +203,7 @@ def test_criterion_07_end_to_end_swim(e2e_task, e2e_alpha1, capsys):
 
 
 def test_criterion_08_step_size_study(e2e_task, e2e_alpha1, capsys):
-    seen, emerging, truth = e2e_task
+    seen, emerging = e2e_task
     n = seen.size
     finals = {}
     iters = {}
@@ -212,7 +212,8 @@ def test_criterion_08_step_size_study(e2e_task, e2e_alpha1, capsys):
     finals[1] = match_topk(seen, emerging, params1, k=5).top1
     for alpha in (5, 20):
         _, params, steps = run_swim(
-            seen.matrices, emerging.matrices, swim_config(alpha), truth=truth)
+            seen.matrices, emerging.matrices, swim_config(alpha),
+            class_ids=(seen.class_ids, emerging.class_ids))
         iters[alpha] = len(steps)
         finals[alpha] = match_topk(seen, emerging, params, k=5).top1
     counts_ok = all(iters[a] == math.ceil(n / a) for a in (1, 5, 20))

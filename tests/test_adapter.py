@@ -191,6 +191,22 @@ class TestTraining:
         with pytest.raises(ValidationError):
             train_on_pairs(init_adapter(2, 4), [], TrainConfig())
 
+    def test_items_that_are_not_pairs_rejected(self):
+        # A tuple whose first item is a list is a sequence of pairs, and
+        # each item here has one element.
+        params = init_adapter(1, 4)
+        for pairs in (([0.3], [0.7]), ([[0.1]], [[0.3]])):
+            with pytest.raises(ValidationError, match="input, target"):
+                train_on_pairs(params, pairs, TrainConfig(epochs=1))
+
+    def test_pair_forms_agree(self):
+        x = np.array([[0.1, 0.2], [0.3, 0.4]])
+        y = np.array([[0.2, 0.1], [0.4, 0.3]])
+        cfg = TrainConfig(epochs=2, dropout=False)
+        arrays, _ = train_on_pairs(init_adapter(2, 4), (x, y), cfg)
+        listed, _ = train_on_pairs(init_adapter(2, 4), [(x[0], y[0]), (x[1], y[1])], cfg)
+        assert param_delta(arrays, listed) == 0.0
+
     def test_non_finite_input_raises_divergence(self):
         x = np.array([[np.nan, 0.0]])
         y = np.array([[0.5, 0.5]])

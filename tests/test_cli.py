@@ -7,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from warpmatch import init_adapter, save_adapter, save_matrix
+from warpmatch import init_adapter, save_adapter, save_dataset, save_matrix
 from warpmatch.cli import load_run_config, main, resolved_config_lines
-from warpmatch.errors import ValidationError
+from warpmatch.errors import FormatError, ValidationError
 from warpmatch.toy import write_toy_csvs
 
 
@@ -46,6 +46,12 @@ class TestRunConfig:
     def test_unknown_dropout_value_rejected(self):
         with pytest.raises(ValidationError, match="bad value 'ture' for key 'dropout'"):
             load_run_config(None, overrides=["dropout=ture"])
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_bytes(b"seed = 5\n# \xff\n")
+        with pytest.raises(FormatError, match="run.cfg: not UTF-8 text at byte offset 11"):
+            load_run_config(f)
 
     def test_resolved_lines_cover_every_key(self):
         cfg = load_run_config(None)
@@ -196,6 +202,37 @@ class TestMatchRun:
                      "--adapter", str(adapter),
                      "--outdir", str(tmp_path / "eval")]) == 2
         assert "error: WARPMATCH_WORKERS" in capsys.readouterr().err
+
+
+    def test_eval_topk_empty_manifest_exit_2(self, small_task, tmp_path, capsys):
+        empty = tmp_path / "empty.manifest"
+        empty.write_text("# modality: emerging\n")
+        adapter = tmp_path / "adapter.lfa"
+        save_adapter(init_adapter(3, 4, seed=0), adapter)
+        assert main(["eval", "topk", "--seen", str(small_task / "seen.manifest"),
+                     "--emerging", str(empty), "--adapter", str(adapter),
+                     "--outdir", str(tmp_path / "eval")]) == 2
+        assert "error: dataset 'empty' has no entries" in capsys.readouterr().err
+
+    def test_trace_agrees_with_report_under_exact_tie(self, tmp_path, capsys):
+        from test_swim import tied_task
+
+        seen, emerging = tied_task()
+        task = tmp_path / "task"
+        out = tmp_path / "run"
+        argv = ["match", "run", "--seen", str(save_dataset(seen, task)),
+                "--emerging", str(save_dataset(emerging, task)), "--outdir", str(out),
+                "--set", "alpha=3", "--set", "hidden=8", "--set", "epochs=40",
+                "--set", "learning_rate=0.01", "--set", "max_sloma_iters=4",
+                "--set", "topk=3"]
+        assert main(argv) == 0
+        first = json.loads((out / "report.json").read_text())["items"][0]
+        assert first["emerging_class"] == 4
+        assert [r["seen_class"] for r in first["ranked"][:2]] == [4, 9]
+        assert first["ranked"][0]["distance"] == first["ranked"][1]["distance"]
+        report = dict(line.split(",") for line in (out / "report.csv").read_text().splitlines())
+        last = (out / "trace.csv").read_text().splitlines()[-1].split(",")
+        assert last[2:] == [report["top1"], report["top5"]]
 
 
 class TestModuleInvocation:

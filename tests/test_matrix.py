@@ -143,6 +143,12 @@ class TestCsvLoader:
         with pytest.raises(FormatError):
             load_matrix_csv(p)
 
+    def test_non_utf8_byte_rejected(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"1,2\n3,\xff\n")
+        with pytest.raises(FormatError, match="m.csv: not UTF-8 text at byte offset 6"):
+            load_matrix_csv(p)
+
 
 def _write_entries(tmp_path, entries, manifest="seen.manifest"):
     lines = ["# test manifest"]
@@ -177,6 +183,22 @@ class TestDataset:
         p = tmp_path / "chan.manifest"
         p.write_text("1,a.fmx\n2,b.fmx\n")
         with pytest.raises(ValidationError, match="channel"):
+            load_dataset(p)
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValidationError, match="no entries"):
+            Dataset("seen", ())
+
+    def test_empty_manifest_rejected(self, tmp_path):
+        p = tmp_path / "seen.manifest"
+        p.write_text("# modality: seen\n")
+        with pytest.raises(ValidationError, match="no entries"):
+            load_dataset(p)
+
+    def test_non_utf8_manifest_rejected(self, tmp_path):
+        p = _write_entries(tmp_path, [(1, np.ones((2, 2)))])
+        p.write_bytes(p.read_bytes() + b"# \xff\n")
+        with pytest.raises(FormatError, match="seen.manifest: not UTF-8 text"):
             load_dataset(p)
 
     def test_malformed_line_names_lineno(self, tmp_path):

@@ -4,22 +4,37 @@ import numpy as np
 import pytest
 
 from warpmatch import (
+    Dataset,
     FeatureMatrix,
     SwimConfig,
     SynthConfig,
     TrainConfig,
     ValidationError,
+    adapt_matrix,
     dpw,
     dpw_distance_matrix,
     gen_task,
+    match_topk,
     run_swim,
 )
 from warpmatch import swim
-from warpmatch.swim import _greedy_pairs, _topk_hits
+from warpmatch.swim import _greedy_pairs, rank_columns
 
 
 def quick_train() -> TrainConfig:
     return TrainConfig(learning_rate=1e-2, lr_decay=1.5e-3, epochs=40, dropout=False)
+
+
+def tied_task():
+    """Seen ids listed 9, 4, 7 with identical templates for 9 and 4, so the
+    emerging item 4 ties exactly between them."""
+    rng = np.random.default_rng(11)
+    a = FeatureMatrix(rng.uniform(0.1, 0.4, (3, 3, 2)))
+    b = rng.uniform(0.6, 0.9, (3, 3, 2))
+    c = FeatureMatrix(np.clip(b + rng.normal(0, 0.05, b.shape), 0.01, 0.99))
+    b = FeatureMatrix(b)
+    return (Dataset("seen", ((9, a), (4, a), (7, b))),
+            Dataset("emerging", ((4, a), (7, b), (9, c))))
 
 
 class TestDistanceMatrix:
@@ -114,10 +129,17 @@ class TestGreedyBuild:
             [1.0, 1.0],
             [2.0, 0.0],
         ])
-        top1, top5 = _topk_hits(dist, truth=[0, 2], ks=(1, 5))
+        # Seen ids equal row positions, so ties go to the lower index.
+        _, top1, top5 = rank_columns(dist, [0, 1, 2], emerging_ids=[0, 2])
         assert top1 == 1.0 and top5 == 1.0
-        top1, _ = _topk_hits(dist, truth=[1, 1], ks=(1, 5))
+        _, top1, _ = rank_columns(dist, [0, 1, 2], emerging_ids=[1, 1])
         assert top1 == 0.0
+
+    def test_rank_columns_breaks_ties_by_lower_class_id(self):
+        dist = np.array([[1.0, 2.0], [1.0, 0.0], [3.0, 0.0]])
+        order, top1, top5 = rank_columns(dist, [9, 4, 7], [4, 9])
+        assert order.T.tolist() == [[1, 0, 2], [1, 2, 0]]
+        assert top1 == 0.5 and top5 == 1.0
 
 
 class TestRunSwim:
@@ -178,14 +200,15 @@ class TestRunSwim:
         scfg = SynthConfig(n_classes=6, height=6, width=6, channels=4,
                            warp=0.3, map_kind="affine_sigmoid", map_gain=2.0,
                            noise_std=0.01, seed=21)
-        seen, emerging, tm = gen_task(scfg)
-        truth = [tm[cid] for cid in emerging.class_ids]
+        seen, emerging, _ = gen_task(scfg)
         cfg = SwimConfig(alpha=2, eps=1e-3, hidden=24, train=quick_train(),
                          max_sloma_iters=10, seed=1)
         assignment, params, steps = run_swim(
-            seen.matrices, emerging.matrices, cfg, truth=truth)
+            seen.matrices, emerging.matrices, cfg,
+            class_ids=(seen.class_ids, emerging.class_ids))
         assert steps[-1].top1 is not None and steps[-1].top1 >= 0.5
-        correct = sum(1 for k, l in assignment.pairs if truth[l] == k)
+        correct = sum(1 for k, l in assignment.pairs
+                      if seen.class_ids[k] == emerging.class_ids[l])
         assert correct >= 3
 
     def test_alpha_equals_n_single_round(self):
@@ -198,3 +221,26 @@ class TestRunSwim:
         _, _, steps = run_swim(seen, emerging, cfg)
         assert len(steps) == 1
         assert steps[0].n_pairs == n
+
+    def test_trace_accuracy_equals_report_under_exact_tie(self):
+        seen, emerging = tied_task()
+        cfg = SwimConfig(alpha=3, hidden=8, max_sloma_iters=4, seed=0,
+                         train=TrainConfig(learning_rate=1e-2, epochs=40, dropout=False))
+        _, params, steps = run_swim(seen.matrices, emerging.matrices, cfg,
+                                    class_ids=(seen.class_ids, emerging.class_ids))
+        d = dpw_distance_matrix(seen.matrices,
+                                [adapt_matrix(params, m) for m in emerging.matrices])
+        assert d[0, 0] == d[1, 0] == d[:, 0].min()  # the tie decides item 4's top-1
+        report = match_topk(seen, emerging, params, k=3)
+        assert report.items[0].ranked[0][0] == 4
+        assert (steps[-1].top1, steps[-1].top5) == (report.top1, report.top5)
+
+    def test_class_ids_validated(self):
+        seen, emerging = tied_task()
+        cfg = SwimConfig(alpha=3, hidden=4, train=TrainConfig(epochs=1), seed=0)
+        for class_ids in (((9, 4), (4, 7, 9)),        # wrong length
+                          ((9, 4, 7), (4, 7, 9, 1)),
+                          ((9, 9, 7), (9, 9, 7)),     # repeated ids
+                          ((9, 4, 7), (4, 7, 8))):    # sets differ
+            with pytest.raises(ValidationError, match="class_ids"):
+                run_swim(seen.matrices, emerging.matrices, cfg, class_ids=class_ids)
