@@ -13,7 +13,7 @@ from warpmatch import (
     TrainConfig,
     gen_task,
     knn_baseline,
-    match_topk,
+    rank_report,
     run_swim,
 )
 
@@ -28,14 +28,15 @@ cfg = SwimConfig(
     max_sloma_iters=30, seed=3,
 )
 
-assignment, params, steps = run_swim(seen.matrices, emerging.matrices, cfg,
-                                     class_ids=(seen.class_ids, emerging.class_ids))
+assignment, params, steps, dist = run_swim(seen.matrices, emerging.matrices, cfg,
+                                           class_ids=(seen.class_ids, emerging.class_ids))
 
 print("T   pairs  tracked-top1  tracked-top5")
 for s in steps:
     print(f"{s.iteration:<3d} {s.n_pairs:5d}  {s.top1:12.2f}  {s.top5:12.2f}")
 
-report = match_topk(seen, emerging, params, k=5)
+# The run's last distance matrix is already under the final adapter.
+report = rank_report(dist, seen, emerging, k=5)
 baseline = knn_baseline(seen, emerging, params, k=5)
 print(f"\nfinal top-1 accuracy (alignment ranking): {report.top1:.2f}")
 print(f"final top-5 accuracy (alignment ranking): {report.top5:.2f}")

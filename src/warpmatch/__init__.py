@@ -33,6 +33,7 @@ from .evaluate import (
     MatchReport,
     knn_baseline,
     match_topk,
+    rank_report,
     report_csv_lines,
     report_json,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "optimal_hipa",
     "param_delta",
     "path_cost",
+    "rank_report",
     "report_csv_lines",
     "report_json",
     "run_sloma",

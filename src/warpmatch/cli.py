@@ -18,7 +18,8 @@ from pathlib import Path
 from .adapter import TrainConfig, load_adapter, save_adapter
 from .dpw import _pair_costs, dpw, optimal_hipa
 from .errors import DivergenceError, FormatError, ValidationError
-from .evaluate import knn_baseline, match_topk, report_csv_lines, report_json
+from .evaluate import (_check_datasets, knn_baseline, match_topk, rank_report,
+                       report_csv_lines, report_json)
 from .matrix import load_dataset, load_matrix, load_matrix_csv, save_dataset, text_lines
 from .swim import SwimConfig, run_swim
 from .synth import SynthConfig, gen_task
@@ -162,19 +163,17 @@ def _write_traces(outdir: Path, steps) -> None:
     _write_lines(outdir / "sloma_trace.csv", inner)
 
 
-def _write_reports(args, outdir: Path, seen, emerging, params, k: int):
-    """Write report.{json,csv}, plus baseline_report.{json,csv} with
-    ``--baseline knn``; returns the alignment report."""
+def _write_reports(args, outdir: Path, seen, emerging, params, report) -> None:
+    """Write the alignment ``report`` to report.{json,csv}, plus
+    baseline_report.{json,csv} with ``--baseline knn``."""
     def write(stem, report):
         _write_lines(outdir / f"{stem}.json", [report_json(report)])
         _write_lines(outdir / f"{stem}.csv", report_csv_lines(report))
 
-    report = match_topk(seen, emerging, params, k=k, workers=args.workers)
     write("report", report)
     if args.baseline == "knn":
         # report.k is already clamped to the dataset size, so the clamp warns once.
         write("baseline_report", knn_baseline(seen, emerging, params, k=report.k))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +225,9 @@ def cmd_match_run(args) -> int:
     _write_resolved(cfg, outdir)
     seen = load_dataset(args.seen)
     emerging = load_dataset(args.emerging)
-    assignment, params, steps = run_swim(
+    # Reject a bad topk (and clamp a large one, warning once) before training.
+    topk = _check_datasets(seen, emerging, cfg["topk"])
+    assignment, params, steps, dist = run_swim(
         seen.matrices, emerging.matrices, _swim_config(cfg),
         class_ids=(seen.class_ids, emerging.class_ids), workers=args.workers)
 
@@ -238,7 +239,9 @@ def cmd_match_run(args) -> int:
     _write_traces(outdir, steps)
     save_adapter(params, outdir / "adapter.lfa")
 
-    report = _write_reports(args, outdir, seen, emerging, params, cfg["topk"])
+    # The report ranks the matrix the last trace row was ranked from.
+    report = rank_report(dist, seen, emerging, topk)
+    _write_reports(args, outdir, seen, emerging, params, report)
     print(f"top1 {report.top1!r} top5 {report.top5!r} ({len(steps)} outer iterations)")
     return 0
 
@@ -252,7 +255,8 @@ def cmd_eval_topk(args) -> int:
     emerging = load_dataset(args.emerging)
     params = load_adapter(args.adapter, dropout_p=cfg["dropout_p"], seed=cfg["seed"])
     k = args.k if args.k is not None else cfg["topk"]
-    report = _write_reports(args, outdir, seen, emerging, params, k)
+    report = match_topk(seen, emerging, params, k=k, workers=args.workers)
+    _write_reports(args, outdir, seen, emerging, params, report)
     print(f"top1 {report.top1!r} top5 {report.top5!r}")
     return 0
 

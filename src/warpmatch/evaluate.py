@@ -1,10 +1,13 @@
 """Top-k match reports and the pointwise-distance nearest-template baseline.
 
 Ground truth is class-id equality across the two modality datasets; the
-evaluator refuses dataset pairs whose class-id sets differ.  Every ranking
-follows one rule, :func:`warpmatch.swim.rank_columns`: ascending distance,
-ties to the lower seen class id.  ``run_swim``'s per-iteration accuracies
-use the same function, so a trace and a report on the same adapter agree.
+evaluator refuses dataset pairs whose class-id sets differ.  Every report
+comes from a seen x emerging distance matrix through :func:`rank_report`
+(``match run`` passes it the last matrix ``run_swim`` returns), and every
+ranking follows one rule, :func:`warpmatch.swim.rank_columns`: ascending
+distance, ties to the lower seen class id.  ``run_swim``'s per-iteration
+accuracies use the same function, so a trace and a report on the same
+adapter agree.
 """
 
 from __future__ import annotations
@@ -43,15 +46,6 @@ class MatchReport:
     k: int
 
 
-def _build_report(dist, seen_ids, emerging_ids, k) -> MatchReport:
-    order, top1, top5 = rank_columns(dist, seen_ids, emerging_ids)
-    ids = np.asarray(seen_ids)[order[:k]].T.tolist()
-    dists = np.take_along_axis(dist, order[:k], axis=0).T.tolist()
-    items = tuple(ItemMatches(int(cid), tuple(zip(i, d)))
-                  for cid, i, d in zip(emerging_ids, ids, dists))
-    return MatchReport(items, top1, top5, k)
-
-
 def _check_datasets(seen: Dataset, emerging: Dataset, k: int) -> int:
     if set(seen.class_ids) != set(emerging.class_ids):
         raise ValidationError("seen and emerging datasets must share one class-id set")
@@ -66,18 +60,37 @@ def _check_datasets(seen: Dataset, emerging: Dataset, k: int) -> int:
     return k
 
 
+def rank_report(dist, seen: Dataset, emerging: Dataset, k: int = 5) -> MatchReport:
+    """Rank a seen x emerging distance matrix into a report.
+
+    Entry (i, j) of ``dist`` is the distance between seen item i and
+    emerging item j, in dataset order.  Accuracies always come from the full
+    ranking; ``k`` only truncates the stored per-item lists (clamped to the
+    dataset size with a warning).
+    """
+    k = _check_datasets(seen, emerging, k)
+    dist = np.asarray(dist)
+    if dist.shape != (seen.size, emerging.size):
+        raise ValidationError(
+            f"distance matrix shape {dist.shape} is not {(seen.size, emerging.size)}")
+    order, top1, top5 = rank_columns(dist, seen.class_ids, emerging.class_ids)
+    ids = np.asarray(seen.class_ids)[order[:k]].T.tolist()
+    dists = np.take_along_axis(dist, order[:k], axis=0).T.tolist()
+    items = tuple(ItemMatches(int(cid), tuple(zip(i, d)))
+                  for cid, i, d in zip(emerging.class_ids, ids, dists))
+    return MatchReport(items, top1, top5, k)
+
+
 def match_topk(seen: Dataset, emerging: Dataset, params: AdapterParams,
                k: int = 5, workers: int | None = None) -> MatchReport:
     """Rank every emerging item against all seen templates by alignment distance.
 
-    Every emerging matrix is adapted with ``params`` first; rankings are by
-    ascending dpw distance.  Accuracies always come from the full ranking,
-    ``k`` only truncates the stored per-item lists.
+    Every emerging matrix is adapted with ``params`` first; the dpw distance
+    matrix is then ranked by :func:`rank_report`.
     """
     k = _check_datasets(seen, emerging, k)
     adapted = [adapt_matrix(params, m) for m in emerging.matrices]
-    dist = dpw_distance_matrix(seen.matrices, adapted, workers)
-    return _build_report(dist, seen.class_ids, emerging.class_ids, k)
+    return rank_report(dpw_distance_matrix(seen.matrices, adapted, workers), seen, emerging, k)
 
 
 def knn_baseline(seen: Dataset, emerging: Dataset, params: AdapterParams,
@@ -96,7 +109,7 @@ def knn_baseline(seen: Dataset, emerging: Dataset, params: AdapterParams,
     for i, s in enumerate(seen.matrices):
         for j, e in enumerate(adapted):
             dist[i, j] = np.abs(s.data - e.data).sum()
-    return _build_report(dist, seen.class_ids, emerging.class_ids, k)
+    return rank_report(dist, seen, emerging, k)
 
 
 def report_json(report: MatchReport) -> str:

@@ -1,18 +1,16 @@
 """Inner self-reinforcing loop over a fixed set of candidate pairs.
 
-Each iteration aligns every seen matrix with the current adapted version
-of its paired emerging matrix, retrains the adapter on the element pairs
-those alignments produce, re-adapts, and stops once the adapter weights
-move less than a threshold.  Because adaptation never moves elements,
-alignments computed on adapted matrices transfer directly to raw
-positions, so training inputs are always the raw emerging elements.
+Each iteration adapts the paired emerging matrices with the current
+adapter, aligns every seen matrix with its adapted pair, retrains the
+adapter on the element pairs those alignments produce, and stops once the
+adapter weights move less than a threshold.  Because adaptation never
+moves elements, alignments computed on adapted matrices transfer directly
+to raw positions, so training inputs are always the raw emerging elements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +63,7 @@ def _element_pairs(seen_arr, raw_e_arr, hipa):
 
 def run_sloma(seen, emerging, pairs: MatchedPairSet, params0: AdapterParams,
               eps: float, cfg: TrainConfig, max_iters: int = 50):
-    """Alternate align / retrain / re-adapt until the weights settle.
+    """Alternate adapt / align / retrain until the weights settle.
 
     Parameters
     ----------
@@ -80,7 +78,7 @@ def run_sloma(seen, emerging, pairs: MatchedPairSet, params0: AdapterParams,
     cfg : TrainConfig
         Hyperparameters of each optimize step.
     max_iters : int
-        Hard cap on iterations; 0 returns ``params0`` untouched.
+        Hard cap on iterations, >= 0; 0 returns ``params0`` untouched.
 
     Returns
     -------
@@ -92,6 +90,8 @@ def run_sloma(seen, emerging, pairs: MatchedPairSet, params0: AdapterParams,
         raise ValidationError("pair set must be nonempty")
     if eps <= 0:
         raise ValidationError("eps must be positive")
+    if max_iters < 0:
+        raise ValidationError("max_iters must be >= 0")
     seen_arrs = [as_feature_array(m) for m in seen]
     emerging_arrs = [as_feature_array(m) for m in emerging]
     for k, l in pairs:
@@ -102,22 +102,20 @@ def run_sloma(seen, emerging, pairs: MatchedPairSet, params0: AdapterParams,
     # counter restarts here: every invocation gets a full warm-to-cold sweep.
     params = replace(params0, opt_steps=0) if max_iters > 0 else params0
     steps: list[SlomaStep] = []
-    raw = [emerging_arrs[l] for _, l in pairs]
-    adapted = [adapt_matrix(params, arr) for arr in raw]
     for t in range(1, max_iters + 1):
         xs, ys, costs = [], [], []
-        for (k, _), raw_arr, ad in zip(pairs, raw, adapted):
+        for k, l in pairs:
+            ad = adapt_matrix(params, emerging_arrs[l])
             dist, tables = dpw(seen_arrs[k], ad)
             hipa = optimal_hipa(seen_arrs[k], ad, tables)
             costs.append(dist)
-            x, y = _element_pairs(seen_arrs[k], raw_arr, hipa)
+            x, y = _element_pairs(seen_arrs[k], emerging_arrs[l], hipa)
             xs.append(x)
             ys.append(y)
         params_next, loss = train_on_pairs(
             params, (np.concatenate(xs), np.concatenate(ys)), cfg)
         delta = param_delta(params_next, params)
         params = params_next
-        adapted = [adapt_matrix(params, arr) for arr in raw]
         steps.append(SlomaStep(t, float(np.mean(costs)), loss, delta))
         if delta <= eps:
             break

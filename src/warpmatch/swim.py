@@ -55,6 +55,8 @@ class SwimConfig:
             raise ValidationError("eps must be positive")
         if self.hidden < 1:
             raise ValidationError("hidden size must be >= 1")
+        if self.max_sloma_iters < 0:
+            raise ValidationError("max_sloma_iters must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -178,9 +180,11 @@ def run_swim(seen, emerging, cfg: SwimConfig, class_ids=None, workers: int | Non
 
     Returns
     -------
-    (assignment, params, steps)
-        The final pair set (n == N), the final adapter params, and the
-        per-iteration trace.
+    (assignment, params, steps, dist)
+        The final pair set (n == N), the final adapter params, the
+        per-iteration trace, and the seen x emerging distance matrix under
+        the final params (the one the last trace row ranks), ready for
+        :func:`warpmatch.evaluate.rank_report`.
     """
     n_total = len(seen)
     if n_total == 0 or len(emerging) != n_total:
@@ -213,4 +217,4 @@ def run_swim(seen, emerging, cfg: SwimConfig, class_ids=None, workers: int | Non
         steps.append(SwimStep(t_outer, n_t, pairs, sel_dists, top1, top5, tuple(inner)))
         if n_t == n_total:
             break
-    return pairs, params, steps
+    return pairs, params, steps, dist

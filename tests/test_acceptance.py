@@ -70,7 +70,7 @@ def e2e_task():
 def e2e_alpha1(e2e_task):
     seen, emerging = e2e_task
     started = time.perf_counter()
-    assignment, params, steps = run_swim(
+    assignment, params, steps, _ = run_swim(
         seen.matrices, emerging.matrices, swim_config(1),
         class_ids=(seen.class_ids, emerging.class_ids))
     elapsed = time.perf_counter() - started
@@ -211,7 +211,7 @@ def test_criterion_08_step_size_study(e2e_task, e2e_alpha1, capsys):
     iters[1] = len(steps1)
     finals[1] = match_topk(seen, emerging, params1, k=5).top1
     for alpha in (5, 20):
-        _, params, steps = run_swim(
+        _, params, steps, _ = run_swim(
             seen.matrices, emerging.matrices, swim_config(alpha),
             class_ids=(seen.class_ids, emerging.class_ids))
         iters[alpha] = len(steps)

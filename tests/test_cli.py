@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from warpmatch import init_adapter, save_adapter, save_dataset, save_matrix
+from warpmatch import evaluate, init_adapter, save_adapter, save_dataset, save_matrix, swim
 from warpmatch.cli import load_run_config, main, resolved_config_lines
 from warpmatch.errors import FormatError, ValidationError
 from warpmatch.toy import write_toy_csvs
@@ -172,19 +172,48 @@ class TestMatchRun:
         assert len(clamps) == 1
         assert str(clamps[0].message) == "k=5 exceeds dataset size 4; clamping"
 
+    @pytest.mark.parametrize("setting, message", [("topk=0", "k must be >= 1"),
+                                                  ("max_sloma_iters=-3",
+                                                   "max_sloma_iters must be >= 0")])
+    def test_bad_setting_exits_2_before_training(self, small_task, tmp_path, capsys,
+                                                 setting, message):
+        out = tmp_path / "run"
+        assert main(run_args(small_task, out, ("--set", setting))) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["config.resolved"]
+
+    def test_builds_ceil_n_over_alpha_plus_one_matrices(self, small_task, tmp_path,
+                                                        capsys, monkeypatch):
+        """The report ranks run_swim's last matrix instead of building it again:
+        N=4 and alpha=2 give 2 outer iterations and 3 distance matrices."""
+        calls = []
+        real = swim.dpw_distance_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(swim, "dpw_distance_matrix", counting)
+        monkeypatch.setattr(evaluate, "dpw_distance_matrix", counting)
+        assert main(run_args(small_task, tmp_path / "run", ("--baseline", "knn"))) == 0
+        assert len(calls) == 3
+
     def test_unknown_dropout_value_exit_2(self, small_task, tmp_path, capsys):
         assert main(run_args(small_task, tmp_path / "run", ("--set", "dropout=ture"))) == 2
         assert "bad value 'ture' for key 'dropout'" in capsys.readouterr().err
 
     def test_eval_topk_on_saved_adapter(self, small_task, tmp_path, capsys):
         run_out = tmp_path / "run"
-        assert main(run_args(small_task, run_out)) == 0
+        assert main(run_args(small_task, run_out, ("--set", "topk=2"))) == 0
         eval_out = tmp_path / "eval"
         assert main(["eval", "topk",
                      "--seen", str(small_task / "seen.manifest"),
                      "--emerging", str(small_task / "emerging.manifest"),
                      "--adapter", str(run_out / "adapter.lfa"),
                      "--k", "2", "--outdir", str(eval_out), "--baseline", "knn"]) == 0
+        # The run's report, ranked from its own final matrix, equals a fresh
+        # ranking under the saved (trained, so LFA1-exact) adapter.
+        assert (eval_out / "report.json").read_bytes() == (run_out / "report.json").read_bytes()
         doc = json.loads((eval_out / "report.json").read_text())
         assert doc["k"] == 2
         assert all(len(item["ranked"]) == 2 for item in doc["items"])

@@ -7,10 +7,13 @@ from warpmatch import (
     Dataset,
     FeatureMatrix,
     ValidationError,
+    adapt_matrix,
     dpw,
+    dpw_distance_matrix,
     init_adapter,
     knn_baseline,
     match_topk,
+    rank_report,
     report_csv_lines,
     report_json,
     toy_pair,
@@ -53,8 +56,6 @@ class TestMatchTopk:
         assert report.k == seen.size
 
     def test_rankings_match_independent_resort(self):
-        from warpmatch import adapt_matrix
-
         seen, emerging = random_task(3)
         params = init_adapter(2, 6, seed=4)
         report = match_topk(seen, emerging, params, k=5)
@@ -96,6 +97,19 @@ class TestMatchTopk:
         report = match_topk(seen, emerging, pass_through(1), k=3)
         for item in report.items:
             assert [c for c, _ in item.ranked] == [4, 7, 9]
+
+
+class TestRankReport:
+    def test_equals_match_topk_and_checks_shape(self):
+        seen, emerging = random_task(50)
+        params = init_adapter(2, 6, seed=5)
+        dist = dpw_distance_matrix(seen.matrices,
+                                   [adapt_matrix(params, m) for m in emerging.matrices])
+        for k in (1, 3):
+            assert rank_report(dist, seen, emerging, k) == match_topk(seen, emerging, params, k)
+        for bad in (dist[:, :-1], dist.ravel()):
+            with pytest.raises(ValidationError, match="distance matrix shape"):
+                rank_report(bad, seen, emerging, k=3)
 
 
 class TestKnnBaseline:

@@ -80,6 +80,13 @@ class TestRunSloma:
             run_sloma(mats, mats, identity_pairs(1), init_adapter(2, 4),
                       eps=0.0, cfg=TrainConfig())
 
+    def test_negative_max_iters_rejected(self):
+        rng = np.random.default_rng(2)
+        mats = [FeatureMatrix(rng.uniform(0, 1, (2, 2, 2)))]
+        with pytest.raises(ValidationError, match="max_iters must be >= 0"):
+            run_sloma(mats, mats, identity_pairs(1), init_adapter(2, 4),
+                      eps=1e-3, cfg=TrainConfig(), max_iters=-3)
+
     def test_affine_map_recovery_reduces_distance(self):
         cfg = SynthConfig(n_classes=4, height=6, width=6, channels=4,
                           warp=0.0, map_kind="affine_sigmoid", map_gain=2.0,

@@ -149,7 +149,7 @@ class TestRunSwim:
         emerging = [FeatureMatrix(rng.uniform(0.2, 0.8, (3, 3, 2)))]
         cfg = SwimConfig(alpha=1, hidden=4, train=TrainConfig(epochs=1, dropout=False),
                          max_sloma_iters=2, seed=0)
-        assignment, params, steps = run_swim(seen, emerging, cfg)
+        assignment, params, steps, _ = run_swim(seen, emerging, cfg)
         assert len(steps) == 1
         assert assignment.pairs == ((0, 0),)
 
@@ -162,7 +162,7 @@ class TestRunSwim:
             cfg = SwimConfig(alpha=alpha, hidden=4,
                              train=TrainConfig(epochs=1, dropout=False),
                              max_sloma_iters=1, seed=0)
-            _, _, steps = run_swim(seen, emerging, cfg)
+            _, _, steps, _ = run_swim(seen, emerging, cfg)
             assert len(steps) == math.ceil(n / alpha)
             assert steps[-1].n_pairs == n
             ns = [s.n_pairs for s in steps]
@@ -175,7 +175,7 @@ class TestRunSwim:
         emerging = [FeatureMatrix(rng.uniform(0.2, 0.8, (3, 3, 2))) for _ in range(n)]
         cfg = SwimConfig(alpha=2, hidden=4, train=TrainConfig(epochs=1, dropout=False),
                          max_sloma_iters=1, seed=0)
-        _, _, steps = run_swim(seen, emerging, cfg)
+        _, _, steps, _ = run_swim(seen, emerging, cfg)
         for step in steps:
             ls = [l for _, l in step.pairs]
             assert len(set(ls)) == len(ls)
@@ -203,7 +203,7 @@ class TestRunSwim:
         seen, emerging, _ = gen_task(scfg)
         cfg = SwimConfig(alpha=2, eps=1e-3, hidden=24, train=quick_train(),
                          max_sloma_iters=10, seed=1)
-        assignment, params, steps = run_swim(
+        assignment, params, steps, _ = run_swim(
             seen.matrices, emerging.matrices, cfg,
             class_ids=(seen.class_ids, emerging.class_ids))
         assert steps[-1].top1 is not None and steps[-1].top1 >= 0.5
@@ -218,7 +218,7 @@ class TestRunSwim:
         emerging = [FeatureMatrix(rng.uniform(0.2, 0.8, (2, 3, 2))) for _ in range(n)]
         cfg = SwimConfig(alpha=n, hidden=4, train=TrainConfig(epochs=1, dropout=False),
                          max_sloma_iters=1, seed=0)
-        _, _, steps = run_swim(seen, emerging, cfg)
+        _, _, steps, _ = run_swim(seen, emerging, cfg)
         assert len(steps) == 1
         assert steps[0].n_pairs == n
 
@@ -226,14 +226,18 @@ class TestRunSwim:
         seen, emerging = tied_task()
         cfg = SwimConfig(alpha=3, hidden=8, max_sloma_iters=4, seed=0,
                          train=TrainConfig(learning_rate=1e-2, epochs=40, dropout=False))
-        _, params, steps = run_swim(seen.matrices, emerging.matrices, cfg,
-                                    class_ids=(seen.class_ids, emerging.class_ids))
-        d = dpw_distance_matrix(seen.matrices,
-                                [adapt_matrix(params, m) for m in emerging.matrices])
-        assert d[0, 0] == d[1, 0] == d[:, 0].min()  # the tie decides item 4's top-1
-        report = match_topk(seen, emerging, params, k=3)
-        assert report.items[0].ranked[0][0] == 4
-        assert (steps[-1].top1, steps[-1].top5) == (report.top1, report.top5)
+        for workers in (1, 2):
+            _, params, steps, dist = run_swim(seen.matrices, emerging.matrices, cfg,
+                                              class_ids=(seen.class_ids, emerging.class_ids),
+                                              workers=workers)
+            d = dpw_distance_matrix(seen.matrices,
+                                    [adapt_matrix(params, m) for m in emerging.matrices],
+                                    workers)
+            assert np.array_equal(dist, d)  # the returned matrix is the final one
+            assert d[0, 0] == d[1, 0] == d[:, 0].min()  # the tie decides item 4's top-1
+            report = match_topk(seen, emerging, params, k=3)
+            assert report.items[0].ranked[0][0] == 4
+            assert (steps[-1].top1, steps[-1].top5) == (report.top1, report.top5)
 
     def test_class_ids_validated(self):
         seen, emerging = tied_task()
