@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 I/O or format error, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -34,28 +35,35 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(value)
 
 
+def _parse_float(value: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(value)
+    return x
+
+
 # key -> (parser, default)
 _SCHEMA = {
     "seed": (int, 0),
     "alpha": (int, 1),
-    "eps": (float, 1e-3),
+    "eps": (_parse_float, 1e-3),
     "hidden": (int, 64),
     "dropout": (_parse_bool, False),
-    "dropout_p": (float, 0.2),
+    "dropout_p": (_parse_float, 0.2),
     "epochs": (int, 20),
-    "learning_rate": (float, 1e-3),
-    "schedule_decay": (float, 0.004),
-    "lr_decay": (float, 0.0),
+    "learning_rate": (_parse_float, 1e-3),
+    "schedule_decay": (_parse_float, 0.004),
+    "lr_decay": (_parse_float, 0.0),
     "batch_size": (int, 0),  # 0 means automatic
     "max_sloma_iters": (int, 50),
     "n_classes": (int, 20),
     "height": (int, 10),
     "width": (int, 10),
     "channels": (int, 8),
-    "warp": (float, 0.5),
+    "warp": (_parse_float, 0.5),
     "map_kind": (str, "affine_sigmoid"),
-    "map_gain": (float, 2.5),
-    "noise_std": (float, 0.0),
+    "map_gain": (_parse_float, 2.5),
+    "noise_std": (_parse_float, 0.0),
     "topk": (int, 5),
 }
 
@@ -119,17 +127,9 @@ def _swim_config(cfg: dict) -> SwimConfig:
 
 
 def _synth_config(cfg: dict) -> SynthConfig:
-    return SynthConfig(
-        n_classes=cfg["n_classes"],
-        height=cfg["height"],
-        width=cfg["width"],
-        channels=cfg["channels"],
-        warp=cfg["warp"],
-        map_kind=cfg["map_kind"],
-        map_gain=cfg["map_gain"],
-        noise_std=cfg["noise_std"],
-        seed=cfg["seed"],
-    )
+    keys = ("n_classes", "height", "width", "channels", "warp", "map_kind", "map_gain",
+            "noise_std", "seed")
+    return SynthConfig(**{k: cfg[k] for k in keys})
 
 
 def _load_any_matrix(path):

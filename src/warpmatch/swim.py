@@ -11,14 +11,14 @@ ceil(N / alpha) times.
 The distance-matrix driver groups matrices by shape, computes each chunk's
 element-distance block with one ``cdist`` call and hands it to
 :func:`warpmatch.dpw.two_level_tables`, the kernel that owns the two-level
-volume layout.  It can fan out over processes; results are identical for
-any worker count or chunking.
+volume layout.  Threads can share the chunks, since each fills its own cells
+of one result; results are identical for any worker count or chunking.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +32,7 @@ from .sloma import MatchedPairSet, run_sloma
 
 # Cap on the element-distance block of one distance-matrix chunk (float64
 # count); the kernel accumulates in that block, so it is the chunk's one
-# large array.
+# large array, and each running worker holds one.
 _CHUNK_BUDGET = 3_000_000
 
 
@@ -84,28 +84,14 @@ def _by_shape(arrs) -> dict[tuple, list[int]]:
     return groups
 
 
-def _block_distances(arrs_a, arrs_b) -> np.ndarray:
-    """Alignment distances for every (a, b) matrix pair, grouped by shape."""
-    out = np.empty((len(arrs_a), len(arrs_b)))
-    groups_b = _by_shape(arrs_b)
-    for (hs, ws), ia in _by_shape(arrs_a).items():
-        rows_a = column_rows(np.stack([arrs_a[i] for i in ia]))
-        for (he, we), jb in groups_b.items():
-            chunk = max(1, _CHUNK_BUDGET // (len(ia) * hs * ws * he * we))
-            for start in range(0, len(jb), chunk):
-                jchunk = jb[start:start + chunk]
-                rows_b = np.stack([arrs_b[j] for j in jchunk]).reshape(len(jchunk) * he * we, -1)
-                out[np.ix_(ia, jchunk)] = two_level_tables(
-                    cdist(rows_b, rows_a), len(ia), (hs, ws), len(jchunk), (he, we))[1][-1, -1]
-    return out
-
-
 def dpw_distance_matrix(seen, emerging, workers: int | None = None) -> np.ndarray:
     """Alignment distance between every seen and every emerging matrix.
 
     Entry (i, j) equals ``dpw(seen[i], emerging[j])[0]`` exactly; evaluation
-    order, batching and the worker count never change the result.  ``workers``
-    defaults to the WARPMATCH_WORKERS environment variable, then 1.
+    order, batching and the worker count never change the result.  Chunks
+    fill disjoint cells of one matrix, shared by ``workers`` threads (numpy
+    and ``cdist`` release the GIL).  ``workers`` defaults to the
+    WARPMATCH_WORKERS environment variable, then 1.
     """
     arrs_a = [as_feature_array(m) for m in seen]
     arrs_b = [as_feature_array(m) for m in emerging]
@@ -121,14 +107,30 @@ def dpw_distance_matrix(seen, emerging, workers: int | None = None) -> np.ndarra
         except ValueError:
             raise ValidationError(
                 f"WARPMATCH_WORKERS must be an integer, got {value!r}") from None
-    workers = max(1, min(workers, len(arrs_b)))
-    if workers == 1:
-        return _block_distances(arrs_a, arrs_b)
-    bounds = np.linspace(0, len(arrs_b), workers + 1).astype(int)
-    parts = [arrs_b[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        blocks = list(pool.map(_block_distances, [arrs_a] * len(parts), parts))
-    return np.hstack(blocks)
+    chunks = []  # (seen indices, their column_rows, emerging indices)
+    groups_b = _by_shape(arrs_b)
+    for (hs, ws), ia in _by_shape(arrs_a).items():
+        rows_a = column_rows(np.stack([arrs_a[i] for i in ia]))
+        for (he, we), jb in groups_b.items():
+            step = max(1, _CHUNK_BUDGET // (len(ia) * hs * ws * he * we))
+            chunks += [(ia, rows_a, jb[start:start + step]) for start in range(0, len(jb), step)]
+    out = np.empty((len(arrs_a), len(arrs_b)))
+
+    def fill(chunk):
+        ia, rows_a, jb = chunk
+        stack_b = np.stack([arrs_b[j] for j in jb])
+        costs = cdist(stack_b.reshape(-1, stack_b.shape[3]), rows_a)
+        out[np.ix_(ia, jb)] = two_level_tables(
+            costs, len(ia), arrs_a[ia[0]].shape[:2], len(jb), stack_b.shape[1:3])[1][-1, -1]
+
+    workers = max(1, min(workers, len(chunks)))
+    if workers == 1:  # no pool thread: its own malloc arena would keep the freed blocks
+        for chunk in chunks:
+            fill(chunk)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, chunks))
+    return out
 
 
 def rank_columns(dist: np.ndarray, seen_ids, emerging_ids) -> tuple:
@@ -153,16 +155,9 @@ def _greedy_pairs(dist: np.ndarray, n: int) -> tuple[MatchedPairSet, tuple]:
     lowest index.  Each is paired with its closest seen matrix."""
     best = dist.min(axis=0)
     best_seen = dist.argmin(axis=0)
-    taken = np.zeros(dist.shape[1], dtype=bool)
-    pairs = []
-    dists = []
-    for _ in range(n):
-        masked = np.where(taken, np.inf, best)
-        l = int(masked.argmin())
-        pairs.append((int(best_seen[l]), l))
-        dists.append(float(best[l]))
-        taken[l] = True
-    return MatchedPairSet(tuple(pairs)), tuple(dists)
+    picked = np.argsort(best, kind="stable")[:n]
+    pairs = tuple((int(best_seen[l]), int(l)) for l in picked)
+    return MatchedPairSet(pairs), tuple(best[picked].tolist())
 
 
 def run_swim(seen, emerging, cfg: SwimConfig, class_ids=None, workers: int | None = None):

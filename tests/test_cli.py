@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from warpmatch import evaluate, init_adapter, save_adapter, save_dataset, save_matrix, swim
-from warpmatch.cli import load_run_config, main, resolved_config_lines
+from warpmatch import (SwimConfig, SynthConfig, evaluate, init_adapter, save_adapter,
+                       save_dataset, save_matrix, swim)
+from warpmatch.cli import _swim_config, _synth_config, load_run_config, main, resolved_config_lines
 from warpmatch.errors import FormatError, ValidationError
 from warpmatch.toy import write_toy_csvs
 
@@ -37,6 +38,15 @@ class TestRunConfig:
     def test_bad_value_rejected(self):
         with pytest.raises(ValidationError, match="bad value"):
             load_run_config(None, overrides=["alpha=two"])
+        for setting in ("eps=nan", "learning_rate=inf", "lr_decay=-inf", "warp=NaN"):
+            key, value = setting.split("=")
+            with pytest.raises(ValidationError, match=f"bad value '{value}' for key '{key}'"):
+                load_run_config(None, overrides=[setting])
+
+    def test_defaults_equal_library_defaults(self):
+        cfg = load_run_config(None)
+        assert _swim_config(cfg) == SwimConfig()
+        assert _synth_config(cfg) == SynthConfig()
 
     def test_dropout_spellings(self):
         for value, expected in (("on", True), ("YES", True), ("1", True),
@@ -197,6 +207,15 @@ class TestMatchRun:
         monkeypatch.setattr(evaluate, "dpw_distance_matrix", counting)
         assert main(run_args(small_task, tmp_path / "run", ("--baseline", "knn"))) == 0
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("setting", ["eps=nan", "learning_rate=nan", "lr_decay=inf"])
+    def test_non_finite_setting_exit_2(self, small_task, tmp_path, capsys, setting):
+        out = tmp_path / "run"
+        assert main(run_args(small_task, out, ("--set", setting))) == 2
+        key, value = setting.split("=")
+        err = capsys.readouterr().err
+        assert f"error: --set '{setting}': bad value '{value}' for key '{key}'" in err
+        assert not out.exists()
 
     def test_unknown_dropout_value_exit_2(self, small_task, tmp_path, capsys):
         assert main(run_args(small_task, tmp_path / "run", ("--set", "dropout=ture"))) == 2

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -75,17 +76,27 @@ class TestDistanceMatrix:
         monkeypatch.setattr(swim, "_CHUNK_BUDGET", 1)
         chunked = dpw_distance_matrix(seen, emerging)
         assert np.array_equal(chunked, default)
+        assert np.array_equal(dpw_distance_matrix(seen, emerging, workers=3), default)
         for i in range(len(seen)):
             for j in range(len(emerging)):
                 assert chunked[i, j] == dpw(seen[i], emerging[j])[0]
 
-    def test_parallel_equals_serial(self):
+    def test_parallel_equals_serial(self, monkeypatch):
+        # One target per chunk, so the six chunks spread over the threads;
+        # a short switch interval makes the threads interleave often.
+        monkeypatch.setattr(swim, "_CHUNK_BUDGET", 1)
         rng = np.random.default_rng(3)
         seen = [rng.uniform(0, 1, (3, 3, 2)) for _ in range(6)]
         emerging = [rng.uniform(0, 1, (3, 3, 2)) for _ in range(6)]
         serial = dpw_distance_matrix(seen, emerging, workers=1)
-        parallel = dpw_distance_matrix(seen, emerging, workers=3)
-        assert np.array_equal(serial, parallel)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (3, 8):
+                parallel = dpw_distance_matrix(seen, emerging, workers=workers)
+                assert np.array_equal(serial, parallel), workers
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValidationError):
