@@ -7,6 +7,14 @@ mean squared distance between adapted and target elements with analytic
 gradients and Nesterov-corrected adaptive-moment updates; inverted dropout
 (seeded, deterministic) applies during training only.
 
+A training call copies the weights into one flat float64 vector laid out
+``W1, b1, ..., Wn, bn``; each layer's W and b are reshaped views into it,
+and the gradient and optimizer moments share that layout, so one update
+is one set of ufuncs over the whole vector.  Activation and delta buffers
+are allocated once per call and written in place.  Inference runs the
+same forward pass.  A non-finite batch loss or, at the end of an epoch, a
+non-finite weight raises ``DivergenceError``.
+
 A params object can carry a ``pass_through`` flag: it then behaves as the
 identity at inference until its first training call completes, which is
 how the outer matching loop starts from an unadapted emerging modality.
@@ -14,6 +22,7 @@ how the outer matching loop starts from an unadapted emerging modality.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,10 +33,6 @@ from .errors import DivergenceError, FormatError, ValidationError
 from .matrix import FeatureMatrix, as_feature_array
 
 CKPT_MAGIC = b"LFA1"
-
-
-def sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
 
 
 @dataclass(frozen=True)
@@ -50,16 +55,16 @@ class TrainConfig:
     lr_decay: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
-        if self.schedule_decay < 0:
-            raise ValidationError("schedule_decay must be nonnegative")
+        if not (0 < self.learning_rate < math.inf):
+            raise ValidationError("learning_rate must be positive and finite")
+        if not (0 <= self.schedule_decay < math.inf):
+            raise ValidationError("schedule_decay must be nonnegative and finite")
         if self.epochs < 1:
             raise ValidationError("epochs must be positive")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValidationError("batch_size must be positive")
-        if self.lr_decay < 0:
-            raise ValidationError("lr_decay must be nonnegative")
+        if not (0 <= self.lr_decay < math.inf):
+            raise ValidationError("lr_decay must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,54 +138,115 @@ def init_adapter(channels: int, hidden: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 # Forward / backward
 
-def _forward(layers, x, masks=None):
-    """Forward pass; returns (output, cache) with pre-dropout activations."""
+def _layer_views(flat, sizes):
+    """Per-layer (W, b) views into a vector laid out W1, b1, ..., Wn, bn."""
+    views, pos = [], 0
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        w = flat[pos:pos + n_in * n_out].reshape(n_in, n_out)
+        pos += n_in * n_out
+        views.append((w, flat[pos:pos + n_out]))
+        pos += n_out
+    return views
+
+
+def _forward(layers, x, acts, masks=None, fed=None):
+    """Forward pass written into ``acts``, one (rows, n_out) buffer per layer.
+
+    ``acts[i]`` receives layer i's sigmoid output before dropout.  With
+    ``masks``, hidden layer i feeds ``fed[i] = acts[i] * masks[i]`` to the
+    next layer.  Returns the output buffer.
+    """
     a = x
-    cache = []
     last = len(layers) - 1
-    for idx, (w, b) in enumerate(layers):
-        z = a @ w + b
-        s = sigmoid(z)
-        out = s
-        if masks is not None and idx < last and masks[idx] is not None:
-            out = s * masks[idx]
-        cache.append((a, s))
-        a = out
-    return a, cache
+    for i, (w, b) in enumerate(layers):
+        s = np.matmul(a, w, out=acts[i])
+        s += b
+        np.negative(s, out=s)  # 1 / (1 + exp(-z)), in place
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        a = s if masks is None or i == last else np.multiply(s, masks[i], out=fed[i])
+    return a
 
 
-def _backward(layers, cache, dout, masks=None):
-    grads = [None] * len(layers)
-    last = len(layers) - 1
-    da = dout
-    for idx in range(last, -1, -1):
-        w, _ = layers[idx]
-        a_in, s = cache[idx]
-        if masks is not None and idx < last and masks[idx] is not None:
-            da = da * masks[idx]
-        dz = da * s * (1.0 - s)
-        grads[idx] = (a_in.T @ dz, dz.sum(axis=0))
-        da = dz @ w.T
-    return grads
+class _Workspace:
+    """Flat weights, their flat gradient, and the batch buffers of one
+    training call.
+
+    ``layers`` and ``grads`` are per-layer (W, b) views into ``flat`` and
+    ``grad``.  Every buffer holds ``rows`` rows; a shorter batch uses the
+    leading rows.
+    """
+
+    def __init__(self, layers, rows, dropout):
+        sizes = (layers[0][0].shape[0],) + tuple(w.shape[1] for w, _ in layers)
+        self.flat = np.concatenate([a.ravel() for pair in layers for a in pair])
+        self.grad = np.empty_like(self.flat)
+        self.layers = _layer_views(self.flat, sizes)
+        self.grads = _layer_views(self.grad, sizes)
+        self.acts = [np.empty((rows, k)) for k in sizes[1:]]
+        self.deltas = [np.empty((rows, k)) for k in sizes[1:]]
+        self.one_minus = [np.empty((rows, k)) for k in sizes[1:]]
+        hidden = sizes[1:-1] if dropout else ()
+        self.masks = [np.empty((rows, k)) for k in hidden]
+        self.fed = [np.empty((rows, k)) for k in hidden]
+
+    def draw_masks(self, rng, rows, p):
+        """Inverted-dropout masks for the hidden layers, one draw per layer."""
+        masks = [m[:rows] for m in self.masks]
+        for m in masks:
+            rng.random(out=m)
+            np.greater_equal(m, p, out=m)
+            m /= 1.0 - p
+        return masks
+
+    def loss_and_grad(self, x, y, masks=None):
+        """Mean squared distance of the batch; writes its gradient to ``grad``."""
+        rows = x.shape[0]
+        acts = [a[:rows] for a in self.acts]
+        fed = [a[:rows] for a in self.fed]
+        da = np.subtract(_forward(self.layers, x, acts, masks, fed), y,
+                         out=self.deltas[-1][:rows])
+        sq = np.multiply(da, da, out=self.one_minus[-1][:rows])
+        loss = float(sq.sum() / rows)
+        da *= 2.0 / rows
+        last = len(self.layers) - 1
+        for i in range(last, -1, -1):
+            s = acts[i]
+            if masks is not None and i < last:
+                da *= masks[i]
+            da *= s  # dz = (da * s) * (1 - s), in da's buffer
+            da *= np.subtract(1.0, s, out=self.one_minus[i][:rows])
+            a_in = x if i == 0 else (acts[i - 1] if masks is None else fed[i - 1])
+            gw, gb = self.grads[i]
+            np.matmul(a_in.T, da, out=gw)
+            np.sum(da, axis=0, out=gb)
+            if i:
+                da = np.matmul(da, self.layers[i][0].T, out=self.deltas[i - 1][:rows])
+        return loss
 
 
 def training_loss_and_gradients(layers, x, y, masks=None):
     """Mean squared element distance and its analytic weight gradients.
 
     Loss is the mean over pairs of the squared Euclidean distance between
-    the adapted input and the target.  ``masks`` fixes the dropout masks so
-    the same loss surface can be probed by finite differences.
+    the adapted input and the target.  ``masks`` (one per hidden layer)
+    fixes the dropout masks so the same loss surface can be probed by
+    finite differences.  Runs the training loop's own forward and backward
+    pass; the gradients are per-layer (dW, db) views into one flat vector.
     """
-    out, cache = _forward(layers, x, masks)
-    diff = out - y
-    n = x.shape[0]
-    loss = float((diff * diff).sum() / n)
-    grads = _backward(layers, cache, (2.0 / n) * diff, masks)
-    return loss, grads
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    ws = _Workspace(layers, x.shape[0], masks is not None)
+    loss = ws.loss_and_grad(x, np.asarray(y, dtype=np.float64), masks)
+    return loss, ws.grads
 
 
 # ---------------------------------------------------------------------------
 # Inference
+
+def _infer(layers, x):
+    return _forward(layers, x, [np.empty((x.shape[0], w.shape[1])) for w, _ in layers])
+
 
 def adapt_element(params: AdapterParams, element) -> np.ndarray:
     """Map one feature element through the adapter (deterministic, no dropout)."""
@@ -191,8 +257,7 @@ def adapt_element(params: AdapterParams, element) -> np.ndarray:
         raise ValidationError(f"element dimension mismatch: {x.shape[0]} vs {params.n_in}")
     if params.pass_through:
         return x.copy()
-    out, _ = _forward(params.layers, x[None, :])
-    return out[0]
+    return _infer(params.layers, x[None, :])[0]
 
 
 def adapt_matrix(params: AdapterParams, m) -> FeatureMatrix:
@@ -202,58 +267,12 @@ def adapt_matrix(params: AdapterParams, m) -> FeatureMatrix:
         raise ValidationError(f"channel mismatch: {arr.shape[2]} vs {params.n_in}")
     if params.pass_through:
         return m if isinstance(m, FeatureMatrix) else FeatureMatrix(arr)
-    flat = arr.reshape(-1, arr.shape[2])
-    out, _ = _forward(params.layers, flat)
+    out = _infer(params.layers, arr.reshape(-1, arr.shape[2]))
     return FeatureMatrix(out.reshape(arr.shape))
 
 
 # ---------------------------------------------------------------------------
 # Training
-
-class _Nadam:
-    """Adaptive-moment descent with Nesterov momentum correction.
-
-    Moment state is fresh per training call; the learning-rate anneal runs
-    on the adapter's cumulative step count via ``step_offset``.
-    """
-
-    def __init__(self, lr, schedule_decay, lr_decay=0.0, step_offset=0,
-                 beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr = lr
-        self.sd = schedule_decay
-        self.lr_decay = lr_decay
-        self.offset = step_offset
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.t = 0
-        self.mu_product = 1.0
-        self.m = None
-        self.v = None
-
-    def step(self, arrays, grads):
-        if self.m is None:
-            self.m = [np.zeros_like(a) for a in arrays]
-            self.v = [np.zeros_like(a) for a in arrays]
-        self.t += 1
-        lr_t = self.lr
-        if self.lr_decay:
-            lr_t = self.lr * np.exp(-self.lr_decay * (self.offset + self.t - 1))
-        mu_t = self.beta1 * (1.0 - 0.5 * 0.96 ** (self.t * self.sd))
-        mu_next = self.beta1 * (1.0 - 0.5 * 0.96 ** ((self.t + 1) * self.sd))
-        self.mu_product *= mu_t
-        mu_product_next = self.mu_product * mu_next
-        for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            g_hat = g / (1.0 - self.mu_product)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - mu_product_next)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            m_bar = (1.0 - mu_t) * g_hat + mu_next * m_hat
-            a -= lr_t * m_bar / (np.sqrt(v_hat) + self.eps)
-
 
 def _pairs_to_arrays(pairs):
     if isinstance(pairs, tuple) and len(pairs) == 2 and not isinstance(pairs[0], (tuple, list)):
@@ -290,47 +309,82 @@ def train_on_pairs(params: AdapterParams, pairs, cfg: TrainConfig,
     Dropout masks and minibatch order come from a stream seeded by
     ``(params.seed, params.train_calls)``, so repeated calls on an evolving
     params object stay deterministic without replaying the same masks.
+
+    Each optimizer step is one NADAM update (Adam with Nesterov momentum,
+    Dozat 2016) over the flat weight vector, with moments fresh per call
+    and the learning-rate anneal on the cumulative ``opt_steps``.
     """
     x, y = _pairs_to_arrays(pairs)
     n = x.shape[0]
     if x.shape[1] != params.n_in:
         raise ValidationError(f"pair dimension mismatch: {x.shape[1]} vs {params.n_in}")
+    x = np.ascontiguousarray(x)
+    y = np.ascontiguousarray(y)
     rng = np.random.default_rng([params.seed, params.train_calls])
     batch = cfg.batch_size if cfg.batch_size is not None else (n if n <= 4096 else 1024)
     batch = min(batch, n)
     use_dropout = cfg.dropout and params.dropout_p > 0.0
-    keep = 1.0 - params.dropout_p
-    hidden_shapes = [w.shape[1] for w, _ in params.layers[:-1]]
+    ws = _Workspace(params.layers, batch, use_dropout)
+    if batch < n:
+        xb = np.empty((batch, x.shape[1]))
+        yb = np.empty((batch, y.shape[1]))
 
-    layers = [(w.copy(), b.copy()) for w, b in params.layers]
-    flat = [a for pair in layers for a in pair]
-    opt = _Nadam(cfg.learning_rate, cfg.schedule_decay,
-                 lr_decay=cfg.lr_decay, step_offset=params.opt_steps)
+    flat, grad = ws.flat, ws.grad
+    m, v, s1, s2 = (np.zeros_like(flat) for _ in range(4))
+    beta1, beta2, eps, sd = 0.9, 0.999, 1e-8, cfg.schedule_decay
+    t, mu_product = 0, 1.0
     final_loss = None
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n) if batch < n else np.arange(n)
+        order = rng.permutation(n) if batch < n else None
         total = 0.0
         for start in range(0, n, batch):
-            idx = order[start:start + batch]
-            masks = None
-            if use_dropout:
-                masks = [
-                    (rng.random((len(idx), h)) >= params.dropout_p) / keep
-                    for h in hidden_shapes
-                ]
-            loss, grads = training_loss_and_gradients(layers, x[idx], y[idx], masks)
+            if order is None:
+                xs, ys = x, y
+            else:
+                idx = order[start:start + batch]
+                xs = np.take(x, idx, axis=0, out=xb[:len(idx)])
+                ys = np.take(y, idx, axis=0, out=yb[:len(idx)])
+            rows = xs.shape[0]
+            masks = ws.draw_masks(rng, rows, params.dropout_p) if use_dropout else None
+            loss = ws.loss_and_grad(xs, ys, masks)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
-            opt.step(flat, [g for pair in grads for g in pair])
-            total += loss * len(idx)
+
+            t += 1
+            lr_t = cfg.learning_rate
+            if cfg.lr_decay:
+                lr_t = cfg.learning_rate * np.exp(-cfg.lr_decay * (params.opt_steps + t - 1))
+            mu_t = beta1 * (1.0 - 0.5 * 0.96 ** (t * sd))
+            mu_next = beta1 * (1.0 - 0.5 * 0.96 ** ((t + 1) * sd))
+            mu_product *= mu_t
+            # Each line keeps the operation order of the per-array update
+            # (a -= lr_t * m_bar / (sqrt(v_hat) + eps)), so the bits agree.
+            np.divide(grad, 1.0 - mu_product, out=s1)            # g_hat
+            m *= beta1
+            m += np.multiply(grad, 1.0 - beta1, out=s2)
+            v *= beta2
+            np.multiply(grad, 1.0 - beta2, out=s2)
+            s2 *= grad
+            v += s2
+            np.divide(m, 1.0 - mu_product * mu_next, out=s2)     # m_hat
+            s1 *= 1.0 - mu_t
+            s2 *= mu_next
+            s1 += s2                                             # m_bar
+            np.divide(v, 1.0 - beta2 ** t, out=s2)               # v_hat
+            np.sqrt(s2, out=s2)
+            s2 += eps
+            s1 *= lr_t
+            s1 /= s2
+            flat -= s1
+            total += loss * rows
         final_loss = total / n
-        if not all(np.isfinite(a).all() for a in flat):
+        if not np.isfinite(flat).all():
             raise DivergenceError(f"non-finite adapter weights at epoch {epoch}")
         if on_epoch is not None:
             on_epoch(epoch, final_loss)
-    new_params = replace(params, layers=tuple((w, b) for w, b in layers),
+    new_params = replace(params, layers=tuple(ws.layers),
                          pass_through=False, train_calls=params.train_calls + 1,
-                         opt_steps=params.opt_steps + opt.t)
+                         opt_steps=params.opt_steps + t)
     return new_params, float(final_loss)
 
 

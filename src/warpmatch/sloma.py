@@ -10,6 +10,7 @@ to raw positions, so training inputs are always the raw emerging elements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,8 +89,8 @@ def run_sloma(seen, emerging, pairs: MatchedPairSet, params0: AdapterParams,
         pairs = MatchedPairSet(tuple(pairs))
     if pairs.n == 0:
         raise ValidationError("pair set must be nonempty")
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    if not (0 < eps < math.inf):
+        raise ValidationError("eps must be positive and finite")
     if max_iters < 0:
         raise ValidationError("max_iters must be >= 0")
     seen_arrs = [as_feature_array(m) for m in seen]

@@ -17,6 +17,7 @@ of one result; results are identical for any worker count or chunking.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -51,8 +52,8 @@ class SwimConfig:
     def __post_init__(self):
         if self.alpha < 1:
             raise ValidationError("alpha must be >= 1")
-        if self.eps <= 0:
-            raise ValidationError("eps must be positive")
+        if not (0 < self.eps < math.inf):
+            raise ValidationError("eps must be positive and finite")
         if self.hidden < 1:
             raise ValidationError("hidden size must be >= 1")
         if self.max_sloma_iters < 0:

@@ -1,16 +1,18 @@
 """Independent oracles shared by the unit and acceptance tests.
 
-Everything here is deliberately written without the library's DP kernels:
-recursive path enumeration, pure-Python sums, and finite differences.
+Everything here is deliberately written without the library's DP kernels
+and its fused training loop: recursive path enumeration, pure-Python sums,
+finite differences, and the per-array adapter training loop.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
-from warpmatch.adapter import training_loss_and_gradients
+from warpmatch.adapter import _pairs_to_arrays, training_loss_and_gradients
 from warpmatch.dpw import HiPa, PathNode
-from warpmatch.errors import ValidationError
+from warpmatch.errors import DivergenceError, ValidationError
 
 
 def enum_paths_rec(n, m):
@@ -151,3 +153,137 @@ def max_relative_gradient_error(params, n=6, dropout_mask=False, seed=0):
         denom = np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1.0)
         worst = max(worst, float((np.abs(ga - gn) / denom).max()))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Per-array adapter training, the reference for the library's fused loop
+
+def _reference_forward(layers, x, masks=None):
+    """Forward pass; returns (output, cache) with pre-dropout activations."""
+    a = x
+    cache = []
+    last = len(layers) - 1
+    for idx, (w, b) in enumerate(layers):
+        z = a @ w + b
+        s = 1.0 / (1.0 + np.exp(-z))
+        out = s
+        if masks is not None and idx < last and masks[idx] is not None:
+            out = s * masks[idx]
+        cache.append((a, s))
+        a = out
+    return a, cache
+
+
+def _reference_backward(layers, cache, dout, masks=None):
+    grads = [None] * len(layers)
+    last = len(layers) - 1
+    da = dout
+    for idx in range(last, -1, -1):
+        w, _ = layers[idx]
+        a_in, s = cache[idx]
+        if masks is not None and idx < last and masks[idx] is not None:
+            da = da * masks[idx]
+        dz = da * s * (1.0 - s)
+        grads[idx] = (a_in.T @ dz, dz.sum(axis=0))
+        da = dz @ w.T
+    return grads
+
+
+def reference_loss_and_gradients(layers, x, y, masks=None):
+    """Mean squared element distance and its gradients, one array at a time."""
+    out, cache = _reference_forward(layers, x, masks)
+    diff = out - y
+    n = x.shape[0]
+    loss = float((diff * diff).sum() / n)
+    grads = _reference_backward(layers, cache, (2.0 / n) * diff, masks)
+    return loss, grads
+
+
+class _Nadam:
+    """Adaptive-moment descent with Nesterov momentum correction, one
+    update per array.
+
+    Moment state is fresh per training call; the learning-rate anneal runs
+    on the adapter's cumulative step count via ``step_offset``.
+    """
+
+    def __init__(self, lr, schedule_decay, lr_decay=0.0, step_offset=0,
+                 beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = lr
+        self.sd = schedule_decay
+        self.lr_decay = lr_decay
+        self.offset = step_offset
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.mu_product = 1.0
+        self.m = None
+        self.v = None
+
+    def step(self, arrays, grads):
+        if self.m is None:
+            self.m = [np.zeros_like(a) for a in arrays]
+            self.v = [np.zeros_like(a) for a in arrays]
+        self.t += 1
+        lr_t = self.lr
+        if self.lr_decay:
+            lr_t = self.lr * np.exp(-self.lr_decay * (self.offset + self.t - 1))
+        mu_t = self.beta1 * (1.0 - 0.5 * 0.96 ** (self.t * self.sd))
+        mu_next = self.beta1 * (1.0 - 0.5 * 0.96 ** ((self.t + 1) * self.sd))
+        self.mu_product *= mu_t
+        mu_product_next = self.mu_product * mu_next
+        for a, g, m, v in zip(arrays, grads, self.m, self.v):
+            g_hat = g / (1.0 - self.mu_product)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - mu_product_next)
+            v_hat = v / (1.0 - self.beta2 ** self.t)
+            m_bar = (1.0 - mu_t) * g_hat + mu_next * m_hat
+            a -= lr_t * m_bar / (np.sqrt(v_hat) + self.eps)
+
+
+def reference_train_on_pairs(params, pairs, cfg, on_epoch=None):
+    """``train_on_pairs`` as a loop over separate weight arrays: fresh
+    temporaries for every product, one optimizer update per array."""
+    x, y = _pairs_to_arrays(pairs)
+    n = x.shape[0]
+    rng = np.random.default_rng([params.seed, params.train_calls])
+    batch = cfg.batch_size if cfg.batch_size is not None else (n if n <= 4096 else 1024)
+    batch = min(batch, n)
+    use_dropout = cfg.dropout and params.dropout_p > 0.0
+    keep = 1.0 - params.dropout_p
+    hidden_shapes = [w.shape[1] for w, _ in params.layers[:-1]]
+
+    layers = [(w.copy(), b.copy()) for w, b in params.layers]
+    flat = [a for pair in layers for a in pair]
+    opt = _Nadam(cfg.learning_rate, cfg.schedule_decay,
+                 lr_decay=cfg.lr_decay, step_offset=params.opt_steps)
+    final_loss = None
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n) if batch < n else np.arange(n)
+        total = 0.0
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
+            masks = None
+            if use_dropout:
+                masks = [
+                    (rng.random((len(idx), h)) >= params.dropout_p) / keep
+                    for h in hidden_shapes
+                ]
+            loss, grads = reference_loss_and_gradients(layers, x[idx], y[idx], masks)
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite training loss at epoch {epoch}")
+            opt.step(flat, [g for pair in grads for g in pair])
+            total += loss * len(idx)
+        final_loss = total / n
+        if not all(np.isfinite(a).all() for a in flat):
+            raise DivergenceError(f"non-finite adapter weights at epoch {epoch}")
+        if on_epoch is not None:
+            on_epoch(epoch, final_loss)
+    new_params = replace(params, layers=tuple((w, b) for w, b in layers),
+                         pass_through=False, train_calls=params.train_calls + 1,
+                         opt_steps=params.opt_steps + opt.t)
+    return new_params, float(final_loss)

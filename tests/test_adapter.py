@@ -19,7 +19,7 @@ from warpmatch import (
 from warpmatch.adapter import AdapterParams, TrainConfig
 
 
-from oracles import max_relative_gradient_error
+from oracles import max_relative_gradient_error, reference_train_on_pairs
 
 
 def reference_forward(layers, x):
@@ -225,6 +225,100 @@ class TestTraining:
             deltas.append(param_delta(p2, p))
             p = p2
         assert deltas[-1] < deltas[0] / 10
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"learning_rate": math.nan}, {"learning_rate": math.inf}, {"learning_rate": 0.0},
+        {"schedule_decay": math.nan}, {"schedule_decay": math.inf}, {"schedule_decay": -1.0},
+        {"lr_decay": math.nan}, {"lr_decay": math.inf}, {"lr_decay": -1e-3},
+    ])
+    def test_bad_float_rejected(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ValidationError, match=f"{name} must be .* finite"):
+            TrainConfig(**kwargs)
+
+
+def adapter_with_layers(n_layers, dropout_p):
+    """C=4 adapter with 1, 2 or 3 layers; random nonzero biases."""
+    sizes = {1: (4, 4), 2: (4, 9, 4), 3: (4, 7, 5, 4)}[n_layers]
+    rng = np.random.default_rng(20 + n_layers)
+    return AdapterParams(tuple(
+        (rng.uniform(-0.8, 0.8, (n_in, n_out)), rng.uniform(-0.1, 0.1, n_out))
+        for n_in, n_out in zip(sizes, sizes[1:])
+    ), dropout_p=dropout_p, seed=20 + n_layers)
+
+
+def assert_same_bits(a, b):
+    assert len(a.layers) == len(b.layers)
+    for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
+        assert wa.tobytes() == wb.tobytes()
+        assert ba.tobytes() == bb.tobytes()
+    assert a.opt_steps == b.opt_steps
+    assert a.train_calls == b.train_calls
+
+
+class TestFusedEqualsReference:
+    """The fused flat-vector loop against the per-array reference loop."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("batch_size, dropout, dropout_p", [
+        (None, False, 0.2),   # full batch
+        (8, False, 0.2),      # minibatches, short last batch (37 = 4 * 8 + 5)
+        (8, True, 0.2),
+        (8, True, 0.5),
+        (None, True, 0.5),    # dropout on the full batch
+    ])
+    @pytest.mark.parametrize("lr_decay", [0.0, 2e-3])
+    def test_bit_identical(self, n_layers, batch_size, dropout, dropout_p, lr_decay):
+        rng = np.random.default_rng(n_layers)
+        x = rng.uniform(0.0, 1.0, (37, 4))
+        y = rng.uniform(0.1, 0.9, (37, 4))
+        cfg = TrainConfig(learning_rate=1e-2, epochs=6, batch_size=batch_size,
+                          dropout=dropout, lr_decay=lr_decay)
+        fused = reference = adapter_with_layers(n_layers, dropout_p)
+        for _ in range(2):  # the RNG stream and both counters carry over
+            hist_f, hist_r = [], []
+            fused, loss_f = train_on_pairs(fused, (x, y), cfg,
+                                           on_epoch=lambda e, l: hist_f.append((e, l)))
+            reference, loss_r = reference_train_on_pairs(
+                reference, (x, y), cfg, on_epoch=lambda e, l: hist_r.append((e, l)))
+            assert_same_bits(fused, reference)
+            assert loss_f == loss_r
+            assert hist_f == hist_r
+        assert fused.train_calls == 2
+        assert fused.opt_steps == 2 * 6 * (1 if batch_size is None else 5)
+
+    def test_acceptance_shape_bit_identical(self):
+        rng = np.random.default_rng(31)
+        x = rng.uniform(0.05, 0.95, (1003, 8))
+        y = rng.uniform(0.1, 0.9, (1003, 8))
+        cfg = TrainConfig(learning_rate=1e-2, lr_decay=1.5e-3, epochs=20, dropout=False)
+        params = init_adapter(8, 64, seed=3)
+        fused, loss_f = train_on_pairs(params, (x, y), cfg)
+        reference, loss_r = reference_train_on_pairs(params, (x, y), cfg)
+        assert_same_bits(fused, reference)
+        assert loss_f == loss_r
+
+    @pytest.mark.parametrize("case", ["nan_input", "weight_overflow"])
+    def test_same_divergence(self, case):
+        rng = np.random.default_rng(32)
+        x = rng.uniform(0.0, 1.0, (20, 3))
+        y = rng.uniform(0.0, 1.0, (20, 3))
+        if case == "nan_input":
+            x[4, 1] = np.nan
+            cfg = TrainConfig(epochs=3)
+            expect = "non-finite training loss at epoch 0"
+        else:
+            cfg = TrainConfig(learning_rate=1.7e308, epochs=3)  # huge but finite
+            expect = "non-finite adapter weights at epoch"
+        params = init_adapter(3, 5, seed=1)
+        messages = []
+        for train in (train_on_pairs, reference_train_on_pairs):
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=expect) as err:
+                train(params, (x, y), cfg)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 class TestParamDelta:

@@ -80,6 +80,14 @@ class TestRunSloma:
             run_sloma(mats, mats, identity_pairs(1), init_adapter(2, 4),
                       eps=0.0, cfg=TrainConfig())
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        rng = np.random.default_rng(2)
+        mats = [FeatureMatrix(rng.uniform(0, 1, (2, 2, 2)))]
+        with pytest.raises(ValidationError, match="eps must be positive and finite"):
+            run_sloma(mats, mats, identity_pairs(1), init_adapter(2, 4),
+                      eps=eps, cfg=TrainConfig())
+
     def test_negative_max_iters_rejected(self):
         rng = np.random.default_rng(2)
         mats = [FeatureMatrix(rng.uniform(0, 1, (2, 2, 2)))]

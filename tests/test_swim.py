@@ -153,6 +153,13 @@ class TestGreedyBuild:
         assert top1 == 0.5 and top5 == 1.0
 
 
+class TestSwimConfig:
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_eps_rejected(self, eps):
+        with pytest.raises(ValidationError, match="eps must be positive and finite"):
+            SwimConfig(eps=eps)
+
+
 class TestRunSwim:
     def test_single_item_set(self):
         rng = np.random.default_rng(5)
