@@ -102,6 +102,8 @@ class AdapterParams:
             raise ValidationError("adapter input and output dimensions must both equal C")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValidationError("dropout probability must be in [0, 1)")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         object.__setattr__(self, "layers", tuple(layers))
 
     @property
@@ -126,6 +128,8 @@ def init_adapter(channels: int, hidden: int, seed: int = 0,
     """
     if channels < 1 or hidden < 1:
         raise ValidationError("channels and hidden size must be >= 1")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     layers = []
     for n_in, n_out in ((channels, hidden), (hidden, channels)):

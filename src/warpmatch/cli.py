@@ -299,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--set", action="append", metavar="KEY=VALUE")
     run.add_argument("--outdir", required=True)
     run.add_argument("--baseline", choices=["knn"])
-    run.add_argument("--workers", type=int, default=None,
-                     help="distance-matrix workers (default WARPMATCH_WORKERS or 1)")
+    run.add_argument("--workers", type=int, default=1,
+                     help="distance-matrix threads, >= 1 (default 1)")
     run.set_defaults(func=cmd_match_run)
 
     eval_p = sub.add_parser("eval", help="evaluation reports")
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     topk.add_argument("--set", action="append", metavar="KEY=VALUE")
     topk.add_argument("--outdir", required=True)
     topk.add_argument("--baseline", choices=["knn"])
-    topk.add_argument("--workers", type=int, default=None)
+    topk.add_argument("--workers", type=int, default=1)
     topk.set_defaults(func=cmd_eval_topk)
     return p
 

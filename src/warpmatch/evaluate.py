@@ -82,7 +82,7 @@ def rank_report(dist, seen: Dataset, emerging: Dataset, k: int = 5) -> MatchRepo
 
 
 def match_topk(seen: Dataset, emerging: Dataset, params: AdapterParams,
-               k: int = 5, workers: int | None = None) -> MatchReport:
+               k: int = 5, workers: int = 1) -> MatchReport:
     """Rank every emerging item against all seen templates by alignment distance.
 
     Every emerging matrix is adapted with ``params`` first; the dpw distance
@@ -104,11 +104,13 @@ def knn_baseline(seen: Dataset, emerging: Dataset, params: AdapterParams,
     shapes = {m.shape for m in seen.matrices} | {m.shape for m in emerging.matrices}
     if len(shapes) != 1:
         raise ValidationError(f"pointwise baseline needs one common shape, got {sorted(shapes)}")
-    adapted = [adapt_matrix(params, m) for m in emerging.matrices]
+    adapted = np.stack([adapt_matrix(params, m).data.ravel() for m in emerging.matrices])
+    buf = np.empty_like(adapted)
     dist = np.empty((seen.size, emerging.size))
-    for i, s in enumerate(seen.matrices):
-        for j, e in enumerate(adapted):
-            dist[i, j] = np.abs(s.data - e.data).sum()
+    for i, s in enumerate(seen.matrices):  # a row sum adds a pair's terms in the same order
+        np.subtract(s.data.ravel(), adapted, out=buf)
+        np.abs(buf, out=buf)
+        buf.sum(axis=1, out=dist[i])
     return rank_report(dist, seen, emerging, k)
 
 

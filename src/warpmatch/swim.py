@@ -8,17 +8,16 @@ its per-iteration quota hands it to the inner loop.  The quota grows by
 ``alpha`` per iteration and clamps at N, so the loop runs exactly
 ceil(N / alpha) times.
 
-The distance-matrix driver groups matrices by shape, computes each chunk's
-element-distance block with one ``cdist`` call and hands it to
+The distance-matrix driver groups matrices by shape, cuts them into chunks
+and deals those to pool threads.  A thread writes each chunk's ``cdist``
+block into the one cost block it owns for the call, where
 :func:`warpmatch.dpw.two_level_tables`, the kernel that owns the two-level
-volume layout.  Threads can share the chunks, since each fills its own cells
-of one result; results are identical for any worker count or chunking.
+volume layout, accumulates it; results are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -32,8 +31,8 @@ from .matrix import as_feature_array
 from .sloma import MatchedPairSet, run_sloma
 
 # Cap on the element-distance block of one distance-matrix chunk (float64
-# count); the kernel accumulates in that block, so it is the chunk's one
-# large array, and each running worker holds one.
+# count, 24 MB).  Each worker gets one block of the largest chunk's size per
+# call and reuses it for all its chunks, so a call holds ``workers`` blocks.
 _CHUNK_BUDGET = 3_000_000
 
 
@@ -58,6 +57,8 @@ class SwimConfig:
             raise ValidationError("hidden size must be >= 1")
         if self.max_sloma_iters < 0:
             raise ValidationError("max_sloma_iters must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -85,15 +86,16 @@ def _by_shape(arrs) -> dict[tuple, list[int]]:
     return groups
 
 
-def dpw_distance_matrix(seen, emerging, workers: int | None = None) -> np.ndarray:
+def dpw_distance_matrix(seen, emerging, workers: int = 1) -> np.ndarray:
     """Alignment distance between every seen and every emerging matrix.
 
     Entry (i, j) equals ``dpw(seen[i], emerging[j])[0]`` exactly; evaluation
     order, batching and the worker count never change the result.  Chunks
-    fill disjoint cells of one matrix, shared by ``workers`` threads (numpy
-    and ``cdist`` release the GIL).  ``workers`` defaults to the
-    WARPMATCH_WORKERS environment variable, then 1.
+    are dealt round-robin to ``workers`` threads (numpy and ``cdist`` release
+    the GIL); each thread reuses one cost block and fills disjoint cells.
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     arrs_a = [as_feature_array(m) for m in seen]
     arrs_b = [as_feature_array(m) for m in emerging]
     if not arrs_a or not arrs_b:
@@ -101,36 +103,29 @@ def dpw_distance_matrix(seen, emerging, workers: int | None = None) -> np.ndarra
     channels = {a.shape[2] for a in arrs_a} | {b.shape[2] for b in arrs_b}
     if len(channels) != 1:
         raise ValidationError(f"channel mismatch across matrices: {sorted(channels)}")
-    if workers is None:
-        value = os.environ.get("WARPMATCH_WORKERS", "1")
-        try:
-            workers = int(value)
-        except ValueError:
-            raise ValidationError(
-                f"WARPMATCH_WORKERS must be an integer, got {value!r}") from None
     chunks = []  # (seen indices, their column_rows, emerging indices)
+    block_size = 0
     groups_b = _by_shape(arrs_b)
     for (hs, ws), ia in _by_shape(arrs_a).items():
         rows_a = column_rows(np.stack([arrs_a[i] for i in ia]))
         for (he, we), jb in groups_b.items():
             step = max(1, _CHUNK_BUDGET // (len(ia) * hs * ws * he * we))
             chunks += [(ia, rows_a, jb[start:start + step]) for start in range(0, len(jb), step)]
+            block_size = max(block_size, min(step, len(jb)) * he * we * len(rows_a))
     out = np.empty((len(arrs_a), len(arrs_b)))
 
-    def fill(chunk):
-        ia, rows_a, jb = chunk
-        stack_b = np.stack([arrs_b[j] for j in jb])
-        costs = cdist(stack_b.reshape(-1, stack_b.shape[3]), rows_a)
-        out[np.ix_(ia, jb)] = two_level_tables(
-            costs, len(ia), arrs_a[ia[0]].shape[:2], len(jb), stack_b.shape[1:3])[1][-1, -1]
+    def fill(part, block):
+        for ia, rows_a, jb in part:
+            rows_b = np.stack([arrs_b[j] for j in jb]).reshape(-1, rows_a.shape[1])
+            costs = block[:len(rows_b) * len(rows_a)].reshape(len(rows_b), len(rows_a))
+            cdist(rows_b, rows_a, out=costs)
+            out[np.ix_(ia, jb)] = two_level_tables(costs, len(ia), arrs_a[ia[0]].shape[:2],
+                                                   len(jb), arrs_b[jb[0]].shape[:2])[1][-1, -1]
 
-    workers = max(1, min(workers, len(chunks)))
-    if workers == 1:  # no pool thread: its own malloc arena would keep the freed blocks
-        for chunk in chunks:
-            fill(chunk)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fill, chunks))
+    workers = min(workers, len(chunks))
+    blocks = [np.empty(block_size) for _ in range(workers)]
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(fill, [chunks[w::workers] for w in range(workers)], blocks))
     return out
 
 
@@ -161,7 +156,7 @@ def _greedy_pairs(dist: np.ndarray, n: int) -> tuple[MatchedPairSet, tuple]:
     return MatchedPairSet(pairs), tuple(best[picked].tolist())
 
 
-def run_swim(seen, emerging, cfg: SwimConfig, class_ids=None, workers: int | None = None):
+def run_swim(seen, emerging, cfg: SwimConfig, class_ids=None, workers: int = 1):
     """Match two equally sized modality sets end to end.
 
     Parameters
@@ -198,10 +193,7 @@ def run_swim(seen, emerging, cfg: SwimConfig, class_ids=None, workers: int | Non
 
     dist = dpw_distance_matrix(seen, [adapt_matrix(params, m) for m in emerging], workers)
     steps: list[SwimStep] = []
-    pairs = None
-    t_outer = 0
-    while True:
-        t_outer += 1
+    for t_outer in range(1, math.ceil(n_total / cfg.alpha) + 1):
         n_t = min(cfg.alpha * t_outer, n_total)
         pairs, sel_dists = _greedy_pairs(dist, n_t)
         params, inner = run_sloma(seen, emerging, pairs, params,
@@ -211,6 +203,4 @@ def run_swim(seen, emerging, cfg: SwimConfig, class_ids=None, workers: int | Non
         if class_ids is not None:
             _, top1, top5 = rank_columns(dist, seen_ids, emerging_ids)
         steps.append(SwimStep(t_outer, n_t, pairs, sel_dists, top1, top5, tuple(inner)))
-        if n_t == n_total:
-            break
     return pairs, params, steps, dist

@@ -57,6 +57,8 @@ class SynthConfig:
             raise ValidationError("n_components must be nonnegative")
         if not 0.0 <= self.component_mix <= 1.0:
             raise ValidationError("component_mix must be in [0, 1]")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 def _smooth_field(rng, h, w, c) -> np.ndarray:

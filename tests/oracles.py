@@ -113,6 +113,15 @@ def brute_dpw_min(a, b):
     return best
 
 
+def l1_distance_matrix(seen, emerging):
+    """Pointwise L1 distance of every seen and emerging array, one pair at a time."""
+    dist = np.empty((len(seen), len(emerging)))
+    for i, s in enumerate(seen):
+        for j, e in enumerate(emerging):
+            dist[i, j] = np.abs(s - e).sum()
+    return dist
+
+
 def finite_difference_grads(layers, x, y, masks=None, h=1e-5):
     """Central differences on the training loss, one parameter at a time."""
     work = [(w.copy(), b.copy()) for w, b in layers]

@@ -57,6 +57,13 @@ class TestInit:
         with pytest.raises(ValidationError):
             init_adapter(0, 4)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            init_adapter(2, 4, seed=-1)
+        layers = init_adapter(2, 4).layers
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            AdapterParams(layers, seed=-1)
+
     def test_in_out_must_match(self):
         with pytest.raises(ValidationError):
             AdapterParams((

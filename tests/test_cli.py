@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 import subprocess
 import sys
 
@@ -126,6 +125,10 @@ class TestSynthGen:
         assert truth[0] == "emerging_class_id,seen_class_id"
         assert len(truth) == 4
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        assert main(["synth", "gen", "--outdir", str(tmp_path / "task"), "--set", "seed=-1"]) == 2
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def small_task(tmp_path_factory):
@@ -184,7 +187,8 @@ class TestMatchRun:
 
     @pytest.mark.parametrize("setting, message", [("topk=0", "k must be >= 1"),
                                                   ("max_sloma_iters=-3",
-                                                   "max_sloma_iters must be >= 0")])
+                                                   "max_sloma_iters must be >= 0"),
+                                                  ("seed=-1", "seed must be >= 0")])
     def test_bad_setting_exits_2_before_training(self, small_task, tmp_path, capsys,
                                                  setting, message):
         out = tmp_path / "run"
@@ -239,18 +243,22 @@ class TestMatchRun:
         assert (eval_out / "baseline_report.json").exists()
         assert (eval_out / "baseline_report.csv").exists()
 
-    def test_workers_env_not_an_integer_exit_2(self, small_task, tmp_path, capsys,
-                                               monkeypatch):
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, small_task, tmp_path, capsys, workers):
+        out = tmp_path / "run"
+        assert main(run_args(small_task, out, ("--workers", workers))) == 2
+        assert f"error: workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["config.resolved"]
+
+    def test_eval_topk_negative_seed_exit_2(self, small_task, tmp_path, capsys):
         adapter = tmp_path / "adapter.lfa"
         save_adapter(init_adapter(3, 4, seed=0), adapter)
-        monkeypatch.setenv("WARPMATCH_WORKERS", "two")
         assert main(["eval", "topk",
                      "--seen", str(small_task / "seen.manifest"),
                      "--emerging", str(small_task / "emerging.manifest"),
-                     "--adapter", str(adapter),
+                     "--adapter", str(adapter), "--set", "seed=-1",
                      "--outdir", str(tmp_path / "eval")]) == 2
-        assert "error: WARPMATCH_WORKERS" in capsys.readouterr().err
-
+        assert "error: seed must be >= 0" in capsys.readouterr().err
 
     def test_eval_topk_empty_manifest_exit_2(self, small_task, tmp_path, capsys):
         empty = tmp_path / "empty.manifest"
@@ -289,13 +297,4 @@ class TestModuleInvocation:
         proc = subprocess.run([sys.executable, "-m", "warpmatch", "dpw", "dist", s, e],
                               capture_output=True, text=True)
         assert proc.returncode == 0
-        assert proc.stdout.strip() == "654"
-
-    def test_workers_env_respected(self, toy_csvs):
-        """The module entry point runs and gives the serial answer when WARPMATCH_WORKERS is set."""
-        s, e = toy_csvs
-        proc = subprocess.run([sys.executable, "-m", "warpmatch", "dpw", "dist", s, e],
-                              capture_output=True, text=True,
-                              env={**os.environ, "WARPMATCH_WORKERS": "2"})
-        assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "654"

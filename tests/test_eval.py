@@ -19,6 +19,8 @@ from warpmatch import (
     toy_pair,
 )
 
+from oracles import l1_distance_matrix
+
 
 def make_dataset(name, arrays, ids=None):
     ids = ids if ids is not None else range(len(arrays))
@@ -134,6 +136,19 @@ class TestKnnBaseline:
                 (float(np.abs(sm.data - em.data).sum()), scid)
                 for scid, sm in seen.entries)
             assert [c for c, _ in item.ranked] == [c for _, c in dists]
+
+    def test_distances_equal_per_pair_sums(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            n = int(rng.integers(1, 7))
+            shape = (int(rng.integers(1, 13)), int(rng.integers(1, 13)), int(rng.integers(1, 9)))
+            seen = make_dataset("seen", [rng.uniform(-2, 2, shape) for _ in range(n)])
+            emerging = make_dataset("emerging", [rng.uniform(-2, 2, shape) for _ in range(n)])
+            params = init_adapter(shape[2], 4, seed=int(rng.integers(100)))
+            dist = l1_distance_matrix(
+                [m.data for m in seen.matrices],
+                [adapt_matrix(params, m).data for m in emerging.matrices])
+            assert knn_baseline(seen, emerging, params, k=n) == rank_report(dist, seen, emerging, k=n)
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(42)

@@ -102,17 +102,32 @@ class TestDistanceMatrix:
         with pytest.raises(ValidationError):
             dpw_distance_matrix([np.ones((2, 2, 2))], [np.ones((2, 2, 3))])
 
-    def test_workers_env_default(self, monkeypatch):
-        monkeypatch.setenv("WARPMATCH_WORKERS", "2")
-        rng = np.random.default_rng(4)
-        seen = [rng.uniform(0, 1, (2, 2, 1)) for _ in range(2)]
-        d = dpw_distance_matrix(seen, seen)
-        assert d.shape == (2, 2)
+    def test_workers_below_one_rejected(self):
+        for workers in (0, -3):
+            with pytest.raises(ValidationError, match="workers must be >= 1"):
+                dpw_distance_matrix([np.ones((2, 2, 1))], [np.ones((2, 2, 1))], workers)
 
-    def test_workers_env_not_an_integer_rejected(self, monkeypatch):
-        monkeypatch.setenv("WARPMATCH_WORKERS", "two")
-        with pytest.raises(ValidationError, match="WARPMATCH_WORKERS"):
-            dpw_distance_matrix([np.ones((2, 2, 1))], [np.ones((2, 2, 1))])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_cost_block_per_worker(self, monkeypatch, workers):
+        """Six one-target chunks reuse one cost block per worker."""
+        monkeypatch.setattr(swim, "_CHUNK_BUDGET", 1)
+        blocks = []
+        real = swim.cdist
+
+        def recording(*args, **kwargs):
+            blocks.append(kwargs["out"].base)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(swim, "cdist", recording)
+        rng = np.random.default_rng(4)
+        seen = [rng.uniform(0, 1, (3, 3, 2)) for _ in range(4)]
+        emerging = [rng.uniform(0, 1, (3, 3, 2)) for _ in range(6)]
+        d = dpw_distance_matrix(seen, emerging, workers)
+        assert len(blocks) == 6
+        assert len({id(block) for block in blocks}) == min(workers, 6)
+        for i in range(len(seen)):
+            for j in range(len(emerging)):
+                assert d[i, j] == dpw(seen[i], emerging[j])[0]
 
 
 class TestGreedyBuild:
