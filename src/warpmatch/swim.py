@@ -91,8 +91,9 @@ def dpw_distance_matrix(seen, emerging, workers: int = 1) -> np.ndarray:
 
     Entry (i, j) equals ``dpw(seen[i], emerging[j])[0]`` exactly; evaluation
     order, batching and the worker count never change the result.  Chunks
-    are dealt round-robin to ``workers`` threads (numpy and ``cdist`` release
-    the GIL); each thread reuses one cost block and fills disjoint cells.
+    are dealt round-robin to ``workers`` threads, the calling thread being
+    the first (numpy and ``cdist`` release the GIL); each thread reuses one
+    cost block and fills disjoint cells.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -125,7 +126,9 @@ def dpw_distance_matrix(seen, emerging, workers: int = 1) -> np.ndarray:
     workers = min(workers, len(chunks))
     blocks = [np.empty(block_size) for _ in range(workers)]
     with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(fill, [chunks[w::workers] for w in range(workers)], blocks))
+        done = pool.map(fill, [chunks[w::workers] for w in range(1, workers)], blocks[1:])
+        fill(chunks[::workers], blocks[0])
+        list(done)
     return out
 
 

@@ -8,10 +8,17 @@ a hidden per-channel map shared by the whole modality, plus optional
 Gaussian noise.  Monotone warps guarantee a low-cost order-preserving
 alignment exists, and the affine-plus-sigmoid hidden map is representable
 by the adapter, so recovery is possible rather than guaranteed-failed.
+
+Datasets are byte-identical for a given config as long as the draws from
+the seeded generator keep their order: the hidden map's gains and biases,
+the components, then per class the field grid, the Dirichlet weights, the
+row map, the column map and the noise.  Vectorizing any step is free only
+if it keeps that order and each element's arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +58,10 @@ class SynthConfig:
             raise ValidationError("warp intensity must be in [0, 1]")
         if self.map_kind not in ("identity", "affine_sigmoid"):
             raise ValidationError(f"unknown map_kind {self.map_kind!r}")
-        if self.noise_std < 0:
-            raise ValidationError("noise_std must be nonnegative")
+        if not math.isfinite(self.map_gain):
+            raise ValidationError("map_gain must be finite")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValidationError("noise_std must be nonnegative and finite")
         if self.n_components < 0:
             raise ValidationError("n_components must be nonnegative")
         if not 0.0 <= self.component_mix <= 1.0:
@@ -61,30 +70,32 @@ class SynthConfig:
             raise ValidationError("seed must be >= 0")
 
 
-def _smooth_field(rng, h, w, c) -> np.ndarray:
-    """Per-channel low-resolution noise upsampled bilinearly.
+def _smooth_field(h: int, w: int):
+    """Return ``draw(rng, c)``: an (h, w, c) field of per-channel
+    low-resolution noise upsampled bilinearly, all channels in one pass.
 
-    Values live in [0.1, 0.9]: off the sigmoid rails, so an adapter whose
-    output is a sigmoid can actually reach them.
+    The interpolation set-up depends only on (h, w), so one sampler serves a
+    whole task.  Values live in [0.1, 0.9]: off the sigmoid rails, so an
+    adapter whose output is a sigmoid can actually reach them.
     """
     gh = max(2, (h + 2) // 3)
     gw = max(2, (w + 2) // 3)
-    grid = rng.uniform(0.1, 0.9, size=(c, gh, gw))
     ys = np.linspace(0, gh - 1, h)
     xs = np.linspace(0, gw - 1, w)
     y0 = np.floor(ys).astype(int)
     x0 = np.floor(xs).astype(int)
     y1 = np.minimum(y0 + 1, gh - 1)
     x1 = np.minimum(x0 + 1, gw - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    out = np.empty((h, w, c))
-    for ch in range(c):
-        g = grid[ch]
+    fy = (ys - y0)[:, None, None]
+    fx = (xs - x0)[None, :, None]
+
+    def draw(rng, c: int) -> np.ndarray:
+        g = rng.uniform(0.1, 0.9, size=(c, gh, gw)).transpose(1, 2, 0)
         top = g[y0][:, x0] * (1 - fx) + g[y0][:, x1] * fx
         bot = g[y1][:, x0] * (1 - fx) + g[y1][:, x1] * fx
-        out[:, :, ch] = top * (1 - fy) + bot * fy
-    return out
+        return top * (1 - fy) + bot * fy
+
+    return draw
 
 
 def _monotone_map(rng, n: int, intensity: float) -> np.ndarray:
@@ -116,17 +127,15 @@ def gen_task(cfg: SynthConfig):
     else:
         gains = biases = None
 
+    smooth_field = _smooth_field(cfg.height, cfg.width)
     components = None
     if cfg.n_components > 0:
-        components = np.stack([
-            _smooth_field(rng, cfg.height, cfg.width, cfg.channels)
-            for _ in range(cfg.n_components)
-        ])
+        components = np.stack([smooth_field(rng, cfg.channels) for _ in range(cfg.n_components)])
 
     seen_entries = []
     emerging_entries = []
     for cid in range(cfg.n_classes):
-        base = _smooth_field(rng, cfg.height, cfg.width, cfg.channels)
+        base = smooth_field(rng, cfg.channels)
         if components is not None:
             weights = rng.dirichlet(np.full(cfg.n_components, 0.5))
             shared = np.tensordot(weights, components, axes=1)

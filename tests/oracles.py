@@ -2,7 +2,8 @@
 
 Everything here is deliberately written without the library's DP kernels
 and its fused training loop: recursive path enumeration, pure-Python sums,
-finite differences, and the per-array adapter training loop.
+finite differences, the per-array adapter training loop, and the synthetic
+field upsampled one channel at a time.
 """
 
 import itertools
@@ -120,6 +121,29 @@ def l1_distance_matrix(seen, emerging):
         for j, e in enumerate(emerging):
             dist[i, j] = np.abs(s - e).sum()
     return dist
+
+
+def reference_smooth_field(rng, h, w, c) -> np.ndarray:
+    """Per-channel low-resolution noise upsampled bilinearly, one channel at
+    a time: the generator's field before it ran all channels in one pass."""
+    gh = max(2, (h + 2) // 3)
+    gw = max(2, (w + 2) // 3)
+    grid = rng.uniform(0.1, 0.9, size=(c, gh, gw))
+    ys = np.linspace(0, gh - 1, h)
+    xs = np.linspace(0, gw - 1, w)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, gh - 1)
+    x1 = np.minimum(x0 + 1, gw - 1)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    out = np.empty((h, w, c))
+    for ch in range(c):
+        g = grid[ch]
+        top = g[y0][:, x0] * (1 - fx) + g[y0][:, x1] * fx
+        bot = g[y1][:, x0] * (1 - fx) + g[y1][:, x1] * fx
+        out[:, :, ch] = top * (1 - fy) + bot * fy
+    return out
 
 
 def finite_difference_grads(layers, x, y, masks=None, h=1e-5):

@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import warpmatch
 from warpmatch import (SwimConfig, SynthConfig, evaluate, init_adapter, save_adapter,
                        save_dataset, save_matrix, swim)
 from warpmatch.cli import _swim_config, _synth_config, load_run_config, main, resolved_config_lines
@@ -294,7 +297,10 @@ class TestMatchRun:
 class TestModuleInvocation:
     def test_python_dash_m_works(self, toy_csvs):
         s, e = toy_csvs
+        src = str(Path(warpmatch.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "warpmatch", "dpw", "dist", s, e],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert proc.stdout.strip() == "654"

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -128,6 +129,27 @@ class TestDistanceMatrix:
         for i in range(len(seen)):
             for j in range(len(emerging)):
                 assert d[i, j] == dpw(seen[i], emerging[j])[0]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_calling_thread_fills_first_part(self, monkeypatch, workers):
+        """The caller runs every workers-th chunk and the pool the rest, so
+        one worker starts no thread."""
+        monkeypatch.setattr(swim, "_CHUNK_BUDGET", 1)
+        threads = []
+        real = swim.cdist
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(swim, "cdist", recording)
+        rng = np.random.default_rng(5)
+        seen = [rng.uniform(0, 1, (3, 3, 2)) for _ in range(4)]
+        emerging = [rng.uniform(0, 1, (3, 3, 2)) for _ in range(6)]
+        d = dpw_distance_matrix(seen, emerging, workers)
+        assert threads.count(threading.get_ident()) == math.ceil(6 / workers)
+        assert len(set(threads)) <= workers
+        assert np.array_equal(d, dpw_distance_matrix(seen, emerging))
 
 
 class TestGreedyBuild:

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from warpmatch import SynthConfig, ValidationError, dpw_distance_matrix, gen_task
+from warpmatch import SynthConfig, ValidationError, dpw_distance_matrix, gen_task, synth
 from warpmatch.swim import rank_columns
-from warpmatch.synth import _monotone_map
+from warpmatch.synth import _monotone_map, _smooth_field
+
+from oracles import reference_smooth_field
 
 
 class TestConfig:
@@ -18,6 +22,43 @@ class TestConfig:
     def test_rejects_unknown_map(self):
         with pytest.raises(ValidationError):
             SynthConfig(map_kind="rotation")
+
+    @pytest.mark.parametrize("setting", [{"map_gain": math.inf}, {"map_gain": math.nan},
+                                         {"noise_std": math.nan}], ids=str)
+    def test_rejects_non_finite(self, setting):
+        with pytest.raises(ValidationError, match="finite"):
+            SynthConfig(**setting)
+
+
+class TestSmoothField:
+    @pytest.mark.parametrize("c", [1, 8, 160])
+    @pytest.mark.parametrize("w", [1, 2, 3, 14])
+    @pytest.mark.parametrize("h", [1, 2, 3, 14])
+    def test_equals_reference_bytes(self, h, w, c):
+        rng, ref_rng = np.random.default_rng([h, w, c]), np.random.default_rng([h, w, c])
+        field = _smooth_field(h, w)(rng, c)
+        ref = reference_smooth_field(ref_rng, h, w, c)
+        assert field.shape == ref.shape == (h, w, c)
+        assert field.tobytes() == ref.tobytes()
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("warp", [0.0, 0.95])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.02])
+    @pytest.mark.parametrize("map_kind", ["identity", "affine_sigmoid"])
+    @pytest.mark.parametrize("n_components", [0, 4])
+    def test_gen_task_equals_reference(self, monkeypatch, n_components, map_kind, noise_std, warp):
+        cfg = SynthConfig(n_classes=5, height=6, width=9, channels=3, warp=warp, map_kind=map_kind,
+                          noise_std=noise_std, n_components=n_components, seed=11)
+        task = gen_task(cfg)
+        monkeypatch.setattr(synth, "_smooth_field",
+                            lambda h, w: lambda rng, c: reference_smooth_field(rng, h, w, c))
+        ref = gen_task(cfg)
+        assert task[2] == ref[2]
+        for ds, ref_ds in zip(task[:2], ref[:2]):
+            assert [cid for cid, _ in ds.entries] == [cid for cid, _ in ref_ds.entries]
+            for (_, m), (_, r) in zip(ds.entries, ref_ds.entries):
+                assert m.shape == r.shape
+                assert m.data.tobytes() == r.data.tobytes()
 
 
 class TestMonotoneMap:
