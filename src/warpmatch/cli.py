@@ -2,8 +2,11 @@
 
 Subcommands: `dpw dist`, `dpw align`, `synth gen`, `match run`, `eval topk`.
 Runs are configured by a plain `key = value` text file plus `--set key=value`
-overrides; unknown keys are rejected and every configured run logs the fully
-resolved configuration.  All randomness flows from the single `seed` key.
+overrides.  The keys are the fields of `SwimConfig` (but its nested `train`),
+`TrainConfig` and `SynthConfig`, with their defaults, plus the CLI's own
+`topk` (default 5); `batch_size` 0 means automatic (None).  Unknown keys are
+rejected and every configured run logs the fully resolved configuration.
+All randomness flows from the single `seed` key.
 
 Exit codes: 0 success, 1 I/O or format error, 2 validation error,
 3 numerical divergence.
@@ -14,7 +17,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .adapter import TrainConfig, load_adapter, save_adapter
 from .dpw import _pair_costs, dpw, optimal_hipa
@@ -42,30 +47,19 @@ def _parse_float(value: str) -> float:
     return x
 
 
-# key -> (parser, default)
-_SCHEMA = {
-    "seed": (int, 0),
-    "alpha": (int, 1),
-    "eps": (_parse_float, 1e-3),
-    "hidden": (int, 64),
-    "dropout": (_parse_bool, False),
-    "dropout_p": (_parse_float, 0.2),
-    "epochs": (int, 20),
-    "learning_rate": (_parse_float, 1e-3),
-    "schedule_decay": (_parse_float, 0.004),
-    "lr_decay": (_parse_float, 0.0),
-    "batch_size": (int, 0),  # 0 means automatic
-    "max_sloma_iters": (int, 50),
-    "n_classes": (int, 20),
-    "height": (int, 10),
-    "width": (int, 10),
-    "channels": (int, 8),
-    "warp": (_parse_float, 0.5),
-    "map_kind": (str, "affine_sigmoid"),
-    "map_gain": (_parse_float, 2.5),
-    "noise_std": (_parse_float, 0.0),
-    "topk": (int, 5),
-}
+# key -> (parser, default): each config field's type and default, plus the CLI's own.
+_PARSERS = {bool: _parse_bool, float: _parse_float, int: int, str: str}
+_OWN = {"topk": (int, 5), "batch_size": (int, 0)}
+
+
+def _fields(cls):
+    """``cls``'s scalar fields: all but SwimConfig's nested ``train``."""
+    return [f for f in fields(cls) if f.name != "train"]
+
+
+_SCHEMA = {f.name: (_PARSERS[get_type_hints(cls)[f.name]], f.default)
+           for cls in (SwimConfig, TrainConfig, SynthConfig) for f in _fields(cls)
+           if f.name not in _OWN} | _OWN
 
 
 def _parse_config_line(line, source):
@@ -106,30 +100,17 @@ def resolved_config_lines(cfg: dict) -> list[str]:
     return [f"{k} = {cfg[k]}" for k in sorted(cfg)]
 
 
+def _build(cls, cfg: dict, **extra):
+    return cls(**{f.name: cfg[f.name] for f in _fields(cls)}, **extra)
+
+
 def _swim_config(cfg: dict) -> SwimConfig:
-    train = TrainConfig(
-        learning_rate=cfg["learning_rate"],
-        schedule_decay=cfg["schedule_decay"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"] or None,
-        dropout=cfg["dropout"],
-        lr_decay=cfg["lr_decay"],
-    )
-    return SwimConfig(
-        alpha=cfg["alpha"],
-        eps=cfg["eps"],
-        hidden=cfg["hidden"],
-        dropout_p=cfg["dropout_p"],
-        train=train,
-        max_sloma_iters=cfg["max_sloma_iters"],
-        seed=cfg["seed"],
-    )
+    train = _build(TrainConfig, dict(cfg, batch_size=cfg["batch_size"] or None))
+    return _build(SwimConfig, cfg, train=train)
 
 
 def _synth_config(cfg: dict) -> SynthConfig:
-    keys = ("n_classes", "height", "width", "channels", "warp", "map_kind", "map_gain",
-            "noise_std", "seed")
-    return SynthConfig(**{k: cfg[k] for k in keys})
+    return _build(SynthConfig, cfg)
 
 
 def _load_any_matrix(path):
@@ -142,10 +123,17 @@ def _write_lines(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_resolved(cfg: dict, outdir: Path) -> None:
-    _write_lines(outdir / "config.resolved", resolved_config_lines(cfg))
-    for line in resolved_config_lines(cfg):
+def _configured(args) -> tuple[dict, Path]:
+    """Resolve the run config, create the output directory and log the
+    resolved config to ``<outdir>/config.resolved`` and stderr."""
+    cfg = load_run_config(args.config, args.set or ())
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    lines = resolved_config_lines(cfg)
+    _write_lines(outdir / "config.resolved", lines)
+    for line in lines:
         print(f"# {line}", file=sys.stderr)
+    return cfg, outdir
 
 
 def _write_traces(outdir: Path, steps) -> None:
@@ -204,10 +192,7 @@ def cmd_dpw_align(args) -> int:
 
 
 def cmd_synth_gen(args) -> int:
-    cfg = load_run_config(args.config, args.set or ())
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_resolved(cfg, outdir)
+    cfg, outdir = _configured(args)
     seen, emerging, truth = gen_task(_synth_config(cfg))
     seen_manifest = save_dataset(seen, outdir)
     emerging_manifest = save_dataset(emerging, outdir)
@@ -219,10 +204,7 @@ def cmd_synth_gen(args) -> int:
 
 
 def cmd_match_run(args) -> int:
-    cfg = load_run_config(args.config, args.set or ())
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_resolved(cfg, outdir)
+    cfg, outdir = _configured(args)
     seen = load_dataset(args.seen)
     emerging = load_dataset(args.emerging)
     # Reject a bad topk (and clamp a large one, warning once) before training.
@@ -247,10 +229,7 @@ def cmd_match_run(args) -> int:
 
 
 def cmd_eval_topk(args) -> int:
-    cfg = load_run_config(args.config, args.set or ())
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_resolved(cfg, outdir)
+    cfg, outdir = _configured(args)
     seen = load_dataset(args.seen)
     emerging = load_dataset(args.emerging)
     params = load_adapter(args.adapter, dropout_p=cfg["dropout_p"], seed=cfg["seed"])

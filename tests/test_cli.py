@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 import warpmatch
-from warpmatch import (SwimConfig, SynthConfig, evaluate, init_adapter, save_adapter,
-                       save_dataset, save_matrix, swim)
-from warpmatch.cli import _swim_config, _synth_config, load_run_config, main, resolved_config_lines
+from warpmatch import (SwimConfig, SynthConfig, TrainConfig, evaluate, gen_task, init_adapter,
+                       save_adapter, save_dataset, save_matrix, swim)
+from warpmatch.cli import (_SCHEMA, _swim_config, _synth_config, load_run_config, main,
+                           resolved_config_lines)
 from warpmatch.errors import FormatError, ValidationError
 from warpmatch.toy import write_toy_csvs
 
@@ -72,6 +74,52 @@ class TestRunConfig:
         assert all(" = " in line for line in lines)
 
 
+# Every scalar field of the three config dataclasses, as (class, field).
+CONFIG_FIELDS = [(cls, f) for cls in (SwimConfig, TrainConfig, SynthConfig)
+                 for f in dataclasses.fields(cls) if f.name != "train"]
+
+
+def non_default(f):
+    """A valid value other than ``f``'s default, as (text, parsed value)."""
+    if f.name == "map_kind":
+        return "identity", "identity"
+    if f.name == "batch_size":
+        return "7", 7
+    d = f.default
+    if isinstance(d, bool):
+        value = not d
+    elif isinstance(d, int):
+        value = d + 1
+    else:
+        value = d / 2 if d else 0.25
+    return str(value), value
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("cls, f", CONFIG_FIELDS,
+                             ids=[f"{c.__name__}.{f.name}" for c, f in CONFIG_FIELDS])
+    def test_every_config_field_is_a_key(self, cls, f):
+        text, value = non_default(f)
+        assert value != f.default
+        cfg = load_run_config(None, overrides=[f"{f.name}={text}"])
+        built = _synth_config(cfg) if cls is SynthConfig else _swim_config(cfg)
+        target = built.train if cls is TrainConfig else built
+        assert getattr(target, f.name) == value
+
+    def test_keys_are_the_fields_plus_topk(self):
+        assert set(_SCHEMA) == {f.name for _, f in CONFIG_FIELDS} | {"topk"}
+
+    def test_shared_key_has_one_default(self):
+        defaults = {}
+        for _, f in CONFIG_FIELDS:
+            defaults.setdefault(f.name, []).append(f.default)
+        assert {name: d for name, d in defaults.items() if len(d) > 1} == {"seed": [0, 0]}
+
+    def test_nested_train_is_not_a_key(self):
+        with pytest.raises(ValidationError, match="unknown config key 'train'"):
+            load_run_config(None, overrides=["train=1"])
+
+
 class TestDpwCommands:
     def test_dist_prints_toy_value(self, toy_csvs, capsys):
         s, e = toy_csvs
@@ -128,6 +176,30 @@ class TestSynthGen:
         assert truth[0] == "emerging_class_id,seen_class_id"
         assert len(truth) == 4
 
+    def test_writes_the_acceptance_task(self, tmp_path, capsys):
+        from test_acceptance import TASK_CFG
+
+        settings = dataclasses.asdict(TASK_CFG)
+        out = tmp_path / "task"
+        argv = ["synth", "gen", "--outdir", str(out)]
+        for key, value in settings.items():
+            argv += ["--set", f"{key}={value}"]
+        assert main(argv) == 0
+        assert load_run_config(out / "config.resolved") == {**load_run_config(None), **settings}
+
+        expected = tmp_path / "expected"
+        seen, emerging, truth = gen_task(TASK_CFG)
+        save_dataset(seen, expected)
+        save_dataset(emerging, expected)
+        truth_lines = ["emerging_class_id,seen_class_id"]
+        truth_lines += [f"{e},{s}" for e, s in sorted(truth.items())]
+        (expected / "truth.csv").write_text("\n".join(truth_lines) + "\n")
+        names = sorted(p.name for p in expected.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == sorted(names + ["config.resolved"])
+        assert sum(name.endswith(".fmx") for name in names) == 2 * TASK_CFG.n_classes
+        for name in names:
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         assert main(["synth", "gen", "--outdir", str(tmp_path / "task"), "--set", "seed=-1"]) == 2
         assert "error: seed must be >= 0" in capsys.readouterr().err
@@ -180,6 +252,28 @@ class TestMatchRun:
                 "baseline_report.csv"} <= set(names)
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_config_resolved_replays(self, small_task, tmp_path, capsys):
+        settings = ["dropout=on", "batch_size=0", "lr_decay=1.5e-3", "eps=1e-4",
+                    "dropout_p=0.3"]
+        first = tmp_path / "first"
+        argv = run_args(small_task, first, [a for s in settings for a in ("--set", s)])
+        assert main(argv) == 0
+        resolved = first / "config.resolved"
+        cfg = load_run_config(None, overrides=[a for flag, a in zip(argv, argv[1:])
+                                               if flag == "--set"])
+        replayed = load_run_config(resolved)
+        assert replayed == cfg
+        assert {k: type(v) for k, v in replayed.items()} == {k: type(v) for k, v in cfg.items()}
+
+        second = tmp_path / "second"
+        assert main(["match", "run", "--seen", str(small_task / "seen.manifest"),
+                     "--emerging", str(small_task / "emerging.manifest"),
+                     "--config", str(resolved), "--outdir", str(second)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_k_above_dataset_size_warns_once(self, small_task, tmp_path, capsys):
         with pytest.warns(UserWarning) as record:
