@@ -26,7 +26,7 @@ seen, emerging, _ = gen_task(cfg)
 
 pairs = MatchedPairSet(tuple((i, i) for i in range(seen.size)))
 params0 = init_adapter(channels=6, hidden=48, seed=1, pass_through=True)
-train = TrainConfig(learning_rate=1e-2, lr_decay=1.5e-3, epochs=200, dropout=False)
+train = TrainConfig(learning_rate=1e-2, lr_decay=1.5e-3, epochs=200)
 
 params, steps = run_sloma(seen.matrices, emerging.matrices, pairs, params0,
                           eps=1e-3, cfg=train, max_iters=50)

@@ -24,7 +24,7 @@ seen, emerging, _ = gen_task(task)
 
 cfg = SwimConfig(
     alpha=1, eps=1e-3, hidden=64,
-    train=TrainConfig(learning_rate=1e-2, lr_decay=1.5e-3, epochs=200, dropout=False),
+    train=TrainConfig(learning_rate=1e-2, lr_decay=1.5e-3, epochs=200),
     max_sloma_iters=30, seed=3,
 )
 

@@ -5,7 +5,8 @@ the emerging modality toward the seen modality's feature space; every
 layer is affine followed by a logistic sigmoid.  Training minimizes the
 mean squared distance between adapted and target elements with analytic
 gradients and Nesterov-corrected adaptive-moment updates; inverted dropout
-(seeded, deterministic) applies during training only.
+at ``TrainConfig.dropout_p`` (seeded, deterministic) applies during
+training only.
 
 A training call copies the weights into one flat float64 vector laid out
 ``W1, b1, ..., Wn, bn``; each layer's W and b are reshaped views into it,
@@ -44,14 +45,15 @@ class TrainConfig:
     count t, which persists across training calls.  Annealing is what lets
     the weight movement of successive calls actually fall below a small
     convergence threshold; adaptive-moment steps at a constant rate orbit
-    the optimum at lr scale instead of settling.
+    the optimum at lr scale instead of settling.  ``dropout_p`` is the
+    inverted-dropout rate of the hidden layers; 0 trains without dropout.
     """
 
     learning_rate: float = 1e-3
     schedule_decay: float = 0.004
     epochs: int = 20
-    batch_size: int | None = None  # None: full batch up to 4096 pairs, else 1024
-    dropout: bool = False
+    batch_size: int = 0  # 0: full batch up to 4096 pairs, else 1024
+    dropout_p: float = 0.0
     lr_decay: float = 0.0
 
     def __post_init__(self):
@@ -61,18 +63,20 @@ class TrainConfig:
             raise ValidationError("schedule_decay must be nonnegative and finite")
         if self.epochs < 1:
             raise ValidationError("epochs must be positive")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValidationError("batch_size must be positive")
+        if self.batch_size < 0:
+            raise ValidationError("batch_size must be >= 0")
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ValidationError("dropout_p must be in [0, 1)")
         if not (0 <= self.lr_decay < math.inf):
             raise ValidationError("lr_decay must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)
 class AdapterParams:
-    """Weights of the adapter: ((W, b), ...) per layer, sigmoid activations."""
+    """Weights of the adapter: ((W, b), ...) per layer, sigmoid activations;
+    ``seed`` and ``train_calls`` seed its training stream."""
 
     layers: tuple
-    dropout_p: float = 0.2
     seed: int = 0
     train_calls: int = 0
     opt_steps: int = 0
@@ -100,8 +104,6 @@ class AdapterParams:
             raise ValidationError("adapter needs at least one layer")
         if layers[0][0].shape[0] != layers[-1][0].shape[1]:
             raise ValidationError("adapter input and output dimensions must both equal C")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValidationError("dropout probability must be in [0, 1)")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
         object.__setattr__(self, "layers", tuple(layers))
@@ -120,11 +122,11 @@ class AdapterParams:
 
 
 def init_adapter(channels: int, hidden: int, seed: int = 0,
-                 dropout_p: float = 0.2, pass_through: bool = False) -> AdapterParams:
+                 pass_through: bool = False) -> AdapterParams:
     """Fresh adapter with shape C -> hidden -> C.
 
     Weights are uniform in +-sqrt(6 / (fan_in + fan_out)), biases zero,
-    drawn deterministically from the seed.
+    drawn deterministically from the seed, which also seeds training.
     """
     if channels < 1 or hidden < 1:
         raise ValidationError("channels and hidden size must be >= 1")
@@ -135,8 +137,7 @@ def init_adapter(channels: int, hidden: int, seed: int = 0,
     for n_in, n_out in ((channels, hidden), (hidden, channels)):
         lim = np.sqrt(6.0 / (n_in + n_out))
         layers.append((rng.uniform(-lim, lim, size=(n_in, n_out)), np.zeros(n_out)))
-    return AdapterParams(tuple(layers), dropout_p=dropout_p, seed=seed,
-                         pass_through=pass_through)
+    return AdapterParams(tuple(layers), seed=seed, pass_through=pass_through)
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +326,8 @@ def train_on_pairs(params: AdapterParams, pairs, cfg: TrainConfig,
     x = np.ascontiguousarray(x)
     y = np.ascontiguousarray(y)
     rng = np.random.default_rng([params.seed, params.train_calls])
-    batch = cfg.batch_size if cfg.batch_size is not None else (n if n <= 4096 else 1024)
-    batch = min(batch, n)
-    use_dropout = cfg.dropout and params.dropout_p > 0.0
+    batch = min(cfg.batch_size or (n if n <= 4096 else 1024), n)
+    use_dropout = cfg.dropout_p > 0.0
     ws = _Workspace(params.layers, batch, use_dropout)
     if batch < n:
         xb = np.empty((batch, x.shape[1]))
@@ -349,7 +349,7 @@ def train_on_pairs(params: AdapterParams, pairs, cfg: TrainConfig,
                 xs = np.take(x, idx, axis=0, out=xb[:len(idx)])
                 ys = np.take(y, idx, axis=0, out=yb[:len(idx)])
             rows = xs.shape[0]
-            masks = ws.draw_masks(rng, rows, params.dropout_p) if use_dropout else None
+            masks = ws.draw_masks(rng, rows, cfg.dropout_p) if use_dropout else None
             loss = ws.loss_and_grad(xs, ys, masks)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
@@ -420,8 +420,8 @@ def save_adapter(params: AdapterParams, path) -> None:
             f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
 
 
-def load_adapter(path, dropout_p: float = 0.2, seed: int = 0) -> AdapterParams:
-    """Read an LFA1 checkpoint back into adapter params."""
+def load_adapter(path, seed: int = 0) -> AdapterParams:
+    """Read an LFA1 checkpoint back into adapter params with training seed ``seed``."""
     raw = Path(path).read_bytes()
     if len(raw) < 8:
         raise FormatError(f"{path}: truncated header at byte offset {len(raw)}")
@@ -449,4 +449,4 @@ def load_adapter(path, dropout_p: float = 0.2, seed: int = 0) -> AdapterParams:
         layers.append((w, b))
     if pos != len(raw):
         raise FormatError(f"{path}: trailing data at byte offset {pos}")
-    return AdapterParams(tuple(layers), dropout_p=dropout_p, seed=seed)
+    return AdapterParams(tuple(layers), seed=seed)

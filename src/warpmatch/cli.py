@@ -4,9 +4,9 @@ Subcommands: `dpw dist`, `dpw align`, `synth gen`, `match run`, `eval topk`.
 Runs are configured by a plain `key = value` text file plus `--set key=value`
 overrides.  The keys are the fields of `SwimConfig` (but its nested `train`),
 `TrainConfig` and `SynthConfig`, with their defaults, plus the CLI's own
-`topk` (default 5); `batch_size` 0 means automatic (None).  Unknown keys are
-rejected and every configured run logs the fully resolved configuration.
-All randomness flows from the single `seed` key.
+`topk` (default 5), the k of `match run`'s and `eval topk`'s reports.
+Unknown keys are rejected and every configured run logs the fully resolved
+configuration.  All randomness flows from the single `seed` key.
 
 Exit codes: 0 success, 1 I/O or format error, 2 validation error,
 3 numerical divergence.
@@ -31,15 +31,6 @@ from .swim import SwimConfig, run_swim
 from .synth import SynthConfig, gen_task
 
 
-def _parse_bool(value: str) -> bool:
-    v = value.lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(value)
-
-
 def _parse_float(value: str) -> float:
     x = float(value)
     if not math.isfinite(x):
@@ -47,9 +38,7 @@ def _parse_float(value: str) -> float:
     return x
 
 
-# key -> (parser, default): each config field's type and default, plus the CLI's own.
-_PARSERS = {bool: _parse_bool, float: _parse_float, int: int, str: str}
-_OWN = {"topk": (int, 5), "batch_size": (int, 0)}
+_PARSERS = {float: _parse_float, int: int, str: str}
 
 
 def _fields(cls):
@@ -57,9 +46,10 @@ def _fields(cls):
     return [f for f in fields(cls) if f.name != "train"]
 
 
+# key -> (parser, default): each config field's type and default, plus the CLI's own.
 _SCHEMA = {f.name: (_PARSERS[get_type_hints(cls)[f.name]], f.default)
-           for cls in (SwimConfig, TrainConfig, SynthConfig) for f in _fields(cls)
-           if f.name not in _OWN} | _OWN
+           for cls in (SwimConfig, TrainConfig, SynthConfig)
+           for f in _fields(cls)} | {"topk": (int, 5)}
 
 
 def _parse_config_line(line, source):
@@ -105,8 +95,7 @@ def _build(cls, cfg: dict, **extra):
 
 
 def _swim_config(cfg: dict) -> SwimConfig:
-    train = _build(TrainConfig, dict(cfg, batch_size=cfg["batch_size"] or None))
-    return _build(SwimConfig, cfg, train=train)
+    return _build(SwimConfig, cfg, train=_build(TrainConfig, cfg))
 
 
 def _synth_config(cfg: dict) -> SynthConfig:
@@ -134,6 +123,13 @@ def _configured(args) -> tuple[dict, Path]:
     for line in lines:
         print(f"# {line}", file=sys.stderr)
     return cfg, outdir
+
+
+def _load_datasets(args, k: int):
+    """Load both datasets and check them before any work: the report's ``k``
+    (a large one clamps, warning once) and, with ``--baseline knn``, one shape."""
+    seen, emerging = load_dataset(args.seen), load_dataset(args.emerging)
+    return seen, emerging, _check_datasets(seen, emerging, k, args.baseline == "knn")
 
 
 def _write_traces(outdir: Path, steps) -> None:
@@ -205,10 +201,7 @@ def cmd_synth_gen(args) -> int:
 
 def cmd_match_run(args) -> int:
     cfg, outdir = _configured(args)
-    seen = load_dataset(args.seen)
-    emerging = load_dataset(args.emerging)
-    # Reject a bad topk (and clamp a large one, warning once) before training.
-    topk = _check_datasets(seen, emerging, cfg["topk"])
+    seen, emerging, topk = _load_datasets(args, cfg["topk"])
     assignment, params, steps, dist = run_swim(
         seen.matrices, emerging.matrices, _swim_config(cfg),
         class_ids=(seen.class_ids, emerging.class_ids), workers=args.workers)
@@ -230,10 +223,9 @@ def cmd_match_run(args) -> int:
 
 def cmd_eval_topk(args) -> int:
     cfg, outdir = _configured(args)
-    seen = load_dataset(args.seen)
-    emerging = load_dataset(args.emerging)
-    params = load_adapter(args.adapter, dropout_p=cfg["dropout_p"], seed=cfg["seed"])
-    k = args.k if args.k is not None else cfg["topk"]
+    _swim_config(cfg)  # reject what match run would reject (seed=-1, ...)
+    seen, emerging, k = _load_datasets(args, cfg["topk"])
+    params = load_adapter(args.adapter)
     report = match_topk(seen, emerging, params, k=k, workers=args.workers)
     _write_reports(args, outdir, seen, emerging, params, report)
     print(f"top1 {report.top1!r} top5 {report.top5!r}")
@@ -288,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     topk.add_argument("--seen", required=True)
     topk.add_argument("--emerging", required=True)
     topk.add_argument("--adapter", required=True)
-    topk.add_argument("--k", type=int, default=None)
     topk.add_argument("--config")
     topk.add_argument("--set", action="append", metavar="KEY=VALUE")
     topk.add_argument("--outdir", required=True)

@@ -46,7 +46,7 @@ class MatchReport:
     k: int
 
 
-def _check_datasets(seen: Dataset, emerging: Dataset, k: int) -> int:
+def _check_datasets(seen: Dataset, emerging: Dataset, k: int, one_shape=False) -> int:
     if set(seen.class_ids) != set(emerging.class_ids):
         raise ValidationError("seen and emerging datasets must share one class-id set")
     if seen.channels != emerging.channels:
@@ -54,6 +54,11 @@ def _check_datasets(seen: Dataset, emerging: Dataset, k: int) -> int:
             f"channel mismatch: {seen.channels} vs {emerging.channels}")
     if k < 1:
         raise ValidationError("k must be >= 1")
+    if one_shape:
+        shapes = {m.shape for m in seen.matrices} | {m.shape for m in emerging.matrices}
+        if len(shapes) != 1:
+            raise ValidationError(
+                f"pointwise baseline needs one common shape, got {sorted(shapes)}")
     if k > seen.size:
         warnings.warn(f"k={k} exceeds dataset size {seen.size}; clamping", stacklevel=3)
         k = seen.size
@@ -100,10 +105,7 @@ def knn_baseline(seen: Dataset, emerging: Dataset, params: AdapterParams,
     Requires every matrix in both datasets to share one (H, W, C) shape,
     since the entrywise distance has no notion of alignment.
     """
-    k = _check_datasets(seen, emerging, k)
-    shapes = {m.shape for m in seen.matrices} | {m.shape for m in emerging.matrices}
-    if len(shapes) != 1:
-        raise ValidationError(f"pointwise baseline needs one common shape, got {sorted(shapes)}")
+    k = _check_datasets(seen, emerging, k, one_shape=True)
     adapted = np.stack([adapt_matrix(params, m).data.ravel() for m in emerging.matrices])
     buf = np.empty_like(adapted)
     dist = np.empty((seen.size, emerging.size))

@@ -43,7 +43,6 @@ class SwimConfig:
     alpha: int = 1
     eps: float = 1e-3
     hidden: int = 64
-    dropout_p: float = 0.2
     train: TrainConfig = field(default_factory=TrainConfig)
     max_sloma_iters: int = 50
     seed: int = 0
@@ -191,8 +190,7 @@ def run_swim(seen, emerging, cfg: SwimConfig, class_ids=None, workers: int = 1):
                 and set(emerging_ids) == set(seen_ids)):
             raise ValidationError(f"class_ids must be the same {n_total} unique ids on both sides")
     channels = as_feature_array(seen[0]).shape[2]
-    params = init_adapter(channels, cfg.hidden, seed=cfg.seed,
-                          dropout_p=cfg.dropout_p, pass_through=True)
+    params = init_adapter(channels, cfg.hidden, seed=cfg.seed, pass_through=True)
 
     dist = dpw_distance_matrix(seen, [adapt_matrix(params, m) for m in emerging], workers)
     steps: list[SwimStep] = []

@@ -44,19 +44,3 @@ def toy_pair() -> tuple[FeatureMatrix, FeatureMatrix]:
     """The bundled scalar image pair used across demos and tests."""
     return FeatureMatrix(TOY_S), FeatureMatrix(TOY_E)
 
-
-def write_toy_csvs(directory) -> tuple[str, str]:
-    """Write the pair as CSV files (for the command-line golden path)."""
-    from pathlib import Path
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, arr in (("toy_s.csv", TOY_S), ("toy_e.csv", TOY_E)):
-        p = directory / name
-        p.write_text(
-            "\n".join(",".join(str(int(v)) for v in row) for row in arr) + "\n",
-            encoding="utf-8",
-        )
-        paths.append(str(p))
-    return paths[0], paths[1]

@@ -168,15 +168,16 @@ def finite_difference_grads(layers, x, y, masks=None, h=1e-5):
     return grads
 
 
-def max_relative_gradient_error(params, n=6, dropout_mask=False, seed=0):
-    """Worst relative disagreement between analytic and numeric gradients."""
+def max_relative_gradient_error(params, n=6, dropout_p=0.0, seed=0):
+    """Worst relative disagreement between analytic and numeric gradients,
+    under fixed dropout masks of rate ``dropout_p`` when it is > 0."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.05, 0.95, (n, params.n_in))
     y = rng.uniform(0.05, 0.95, (n, params.n_out))
     masks = None
-    if dropout_mask:
-        keep = 1.0 - params.dropout_p
-        masks = [(rng.random((n, w.shape[1])) >= params.dropout_p) / keep
+    if dropout_p > 0.0:
+        keep = 1.0 - dropout_p
+        masks = [(rng.random((n, w.shape[1])) >= dropout_p) / keep
                  for w, _ in params.layers[:-1]]
     _, analytic = training_loss_and_gradients(params.layers, x, y, masks)
     flat_analytic = [g for pair in analytic for g in pair]
@@ -284,10 +285,9 @@ def reference_train_on_pairs(params, pairs, cfg, on_epoch=None):
     x, y = _pairs_to_arrays(pairs)
     n = x.shape[0]
     rng = np.random.default_rng([params.seed, params.train_calls])
-    batch = cfg.batch_size if cfg.batch_size is not None else (n if n <= 4096 else 1024)
-    batch = min(batch, n)
-    use_dropout = cfg.dropout and params.dropout_p > 0.0
-    keep = 1.0 - params.dropout_p
+    batch = min(cfg.batch_size or (n if n <= 4096 else 1024), n)
+    use_dropout = cfg.dropout_p > 0.0
+    keep = 1.0 - cfg.dropout_p
     hidden_shapes = [w.shape[1] for w, _ in params.layers[:-1]]
 
     layers = [(w.copy(), b.copy()) for w, b in params.layers]
@@ -303,7 +303,7 @@ def reference_train_on_pairs(params, pairs, cfg, on_epoch=None):
             masks = None
             if use_dropout:
                 masks = [
-                    (rng.random((len(idx), h)) >= params.dropout_p) / keep
+                    (rng.random((len(idx), h)) >= cfg.dropout_p) / keep
                     for h in hidden_shapes
                 ]
             loss, grads = reference_loss_and_gradients(layers, x[idx], y[idx], masks)

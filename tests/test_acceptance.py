@@ -35,7 +35,6 @@ from warpmatch import (
     validate_hipa,
 )
 from warpmatch.cli import main as cli_main
-from warpmatch.toy import write_toy_csvs
 
 
 def report(criterion, ok, detail):
@@ -52,7 +51,7 @@ TASK_CFG = SynthConfig(
     warp=0.95, map_kind="affine_sigmoid", map_gain=3.0,
     noise_std=0.015, n_components=4, component_mix=0.75, seed=13,
 )
-TRAIN_CFG = TrainConfig(learning_rate=1e-2, lr_decay=1.5e-3, epochs=200, dropout=False)
+TRAIN_CFG = TrainConfig(learning_rate=1e-2, lr_decay=1.5e-3, epochs=200)
 
 
 def swim_config(alpha):
@@ -80,6 +79,8 @@ def e2e_alpha1(e2e_task):
 # ---------------------------------------------------------------------------
 
 def test_criterion_01_toy_golden_pair(tmp_path, capsys):
+    from test_cli import write_toy_csvs
+
     s, e = toy_pair()
     started = time.perf_counter()
     distance, _ = dpw(s, e)
@@ -153,10 +154,10 @@ def test_criterion_05_gradient_check(capsys):
     for trial in range(50):
         c = int(rng.integers(1, 6))
         hidden = int(rng.integers(1, 10))
-        params = init_adapter(c, hidden, seed=trial, dropout_p=0.2)
-        with_mask = trial % 5 == 0
+        params = init_adapter(c, hidden, seed=trial)
+        dropout_p = 0.2 if trial % 5 == 0 else 0.0
         err = max_relative_gradient_error(
-            params, n=int(rng.integers(1, 7)), dropout_mask=with_mask, seed=trial)
+            params, n=int(rng.integers(1, 7)), dropout_p=dropout_p, seed=trial)
         worst = max(worst, err)
     with capsys.disabled():
         report(5, worst <= 1e-4, f"50 configurations, worst rel err {worst:.2e}")

@@ -138,8 +138,8 @@ class TestGradients:
 
     def test_gradient_check_with_fixed_dropout_mask(self):
         for trial in range(4):
-            p = init_adapter(3, 6, seed=100 + trial, dropout_p=0.2)
-            err = max_relative_gradient_error(p, n=5, dropout_mask=True, seed=trial)
+            p = init_adapter(3, 6, seed=100 + trial)
+            err = max_relative_gradient_error(p, n=5, dropout_p=0.2, seed=trial)
             assert err <= 1e-4
 
 
@@ -151,14 +151,14 @@ class TestTraining:
         # targets are exactly the adapter's own outputs (batch forward,
         # so the fit is exact to the last bit and gradients are truly zero)
         y = adapt_matrix(p, x.reshape(8, 1, 3)).data.reshape(8, 3)
-        cfg = TrainConfig(epochs=5, dropout=False)
+        cfg = TrainConfig(epochs=5)
         p2, loss = train_on_pairs(p, (x, y), cfg)
         assert loss == 0.0
         assert param_delta(p, p2) == 0.0
 
     def test_single_scalar_pair_converges(self):
         p = init_adapter(1, 8, seed=2)
-        cfg = TrainConfig(learning_rate=1e-2, epochs=800, dropout=False)
+        cfg = TrainConfig(learning_rate=1e-2, epochs=800)
         p, loss = train_on_pairs(p, [( [0.3], [0.7] )], cfg)
         assert loss < 1e-3
 
@@ -168,7 +168,7 @@ class TestTraining:
         x = rng.uniform(0.1, 0.9, (32, 1))
         y = 1 / (1 + np.exp(-(1.5 * (x - 0.5))))
         p = init_adapter(1, 8, seed=2)
-        cfg = TrainConfig(learning_rate=1e-2, epochs=400, dropout=False)
+        cfg = TrainConfig(learning_rate=1e-2, epochs=400)
         for _ in range(4):
             p, loss = train_on_pairs(p, (x, y), cfg)
         assert loss < 1e-3
@@ -177,9 +177,9 @@ class TestTraining:
         rng = np.random.default_rng(8)
         x = rng.uniform(0, 1, (16, 2))
         y = rng.uniform(0, 1, (16, 2))
-        cfg = TrainConfig(epochs=10, dropout=True, batch_size=4)
-        p1, l1 = train_on_pairs(init_adapter(2, 5, seed=3, dropout_p=0.2), (x, y), cfg)
-        p2, l2 = train_on_pairs(init_adapter(2, 5, seed=3, dropout_p=0.2), (x, y), cfg)
+        cfg = TrainConfig(epochs=10, dropout_p=0.2, batch_size=4)
+        p1, l1 = train_on_pairs(init_adapter(2, 5, seed=3), (x, y), cfg)
+        p2, l2 = train_on_pairs(init_adapter(2, 5, seed=3), (x, y), cfg)
         assert l1 == l2
         assert param_delta(p1, p2) == 0.0
 
@@ -188,7 +188,7 @@ class TestTraining:
         x = rng.uniform(0.1, 0.9, (64, 3))
         y = rng.uniform(0.2, 0.8, (64, 3))
         history = []
-        cfg = TrainConfig(learning_rate=1e-3, epochs=30, dropout=False)
+        cfg = TrainConfig(learning_rate=1e-3, epochs=30)
         train_on_pairs(init_adapter(3, 10, seed=4), (x, y), cfg,
                        on_epoch=lambda e, loss: history.append(loss))
         assert len(history) == 30
@@ -209,7 +209,7 @@ class TestTraining:
     def test_pair_forms_agree(self):
         x = np.array([[0.1, 0.2], [0.3, 0.4]])
         y = np.array([[0.2, 0.1], [0.4, 0.3]])
-        cfg = TrainConfig(epochs=2, dropout=False)
+        cfg = TrainConfig(epochs=2)
         arrays, _ = train_on_pairs(init_adapter(2, 4), (x, y), cfg)
         listed, _ = train_on_pairs(init_adapter(2, 4), [(x[0], y[0]), (x[1], y[1])], cfg)
         assert param_delta(arrays, listed) == 0.0
@@ -225,7 +225,7 @@ class TestTraining:
         x = rng.uniform(0.1, 0.9, (32, 2))
         y = rng.uniform(0.2, 0.8, (32, 2))
         p = init_adapter(2, 6, seed=5)
-        cfg = TrainConfig(learning_rate=1e-2, lr_decay=5e-3, epochs=100, dropout=False)
+        cfg = TrainConfig(learning_rate=1e-2, lr_decay=5e-3, epochs=100)
         deltas = []
         for _ in range(12):
             p2, _ = train_on_pairs(p, (x, y), cfg)
@@ -245,15 +245,23 @@ class TestTrainConfig:
         with pytest.raises(ValidationError, match=f"{name} must be .* finite"):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"dropout_p": 1.0}, {"dropout_p": -0.1}, {"dropout_p": math.nan}, {"batch_size": -1},
+    ])
+    def test_bad_rate_or_batch_rejected(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ValidationError, match=f"{name} must be"):
+            TrainConfig(**kwargs)
 
-def adapter_with_layers(n_layers, dropout_p):
+
+def adapter_with_layers(n_layers):
     """C=4 adapter with 1, 2 or 3 layers; random nonzero biases."""
     sizes = {1: (4, 4), 2: (4, 9, 4), 3: (4, 7, 5, 4)}[n_layers]
     rng = np.random.default_rng(20 + n_layers)
     return AdapterParams(tuple(
         (rng.uniform(-0.8, 0.8, (n_in, n_out)), rng.uniform(-0.1, 0.1, n_out))
         for n_in, n_out in zip(sizes, sizes[1:])
-    ), dropout_p=dropout_p, seed=20 + n_layers)
+    ), seed=20 + n_layers)
 
 
 def assert_same_bits(a, b):
@@ -269,7 +277,9 @@ class TestFusedEqualsReference:
     """The fused flat-vector loop against the per-array reference loop."""
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
-    @pytest.mark.parametrize("batch_size, dropout, dropout_p", [
+    # (batch, dropout, rate): batch None is the automatic full batch, and
+    # dropout False trains at rate 0 whatever the rate.
+    @pytest.mark.parametrize("batch, dropout, rate", [
         (None, False, 0.2),   # full batch
         (8, False, 0.2),      # minibatches, short last batch (37 = 4 * 8 + 5)
         (8, True, 0.2),
@@ -277,13 +287,13 @@ class TestFusedEqualsReference:
         (None, True, 0.5),    # dropout on the full batch
     ])
     @pytest.mark.parametrize("lr_decay", [0.0, 2e-3])
-    def test_bit_identical(self, n_layers, batch_size, dropout, dropout_p, lr_decay):
+    def test_bit_identical(self, n_layers, batch, dropout, rate, lr_decay):
         rng = np.random.default_rng(n_layers)
         x = rng.uniform(0.0, 1.0, (37, 4))
         y = rng.uniform(0.1, 0.9, (37, 4))
-        cfg = TrainConfig(learning_rate=1e-2, epochs=6, batch_size=batch_size,
-                          dropout=dropout, lr_decay=lr_decay)
-        fused = reference = adapter_with_layers(n_layers, dropout_p)
+        cfg = TrainConfig(learning_rate=1e-2, epochs=6, batch_size=batch or 0,
+                          dropout_p=rate if dropout else 0.0, lr_decay=lr_decay)
+        fused = reference = adapter_with_layers(n_layers)
         for _ in range(2):  # the RNG stream and both counters carry over
             hist_f, hist_r = [], []
             fused, loss_f = train_on_pairs(fused, (x, y), cfg,
@@ -294,13 +304,13 @@ class TestFusedEqualsReference:
             assert loss_f == loss_r
             assert hist_f == hist_r
         assert fused.train_calls == 2
-        assert fused.opt_steps == 2 * 6 * (1 if batch_size is None else 5)
+        assert fused.opt_steps == 2 * 6 * (1 if batch is None else 5)
 
     def test_acceptance_shape_bit_identical(self):
         rng = np.random.default_rng(31)
         x = rng.uniform(0.05, 0.95, (1003, 8))
         y = rng.uniform(0.1, 0.9, (1003, 8))
-        cfg = TrainConfig(learning_rate=1e-2, lr_decay=1.5e-3, epochs=20, dropout=False)
+        cfg = TrainConfig(learning_rate=1e-2, lr_decay=1.5e-3, epochs=20)
         params = init_adapter(8, 64, seed=3)
         fused, loss_f = train_on_pairs(params, (x, y), cfg)
         reference, loss_r = reference_train_on_pairs(params, (x, y), cfg)

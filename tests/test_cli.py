@@ -10,12 +10,25 @@ import numpy as np
 import pytest
 
 import warpmatch
-from warpmatch import (SwimConfig, SynthConfig, TrainConfig, evaluate, gen_task, init_adapter,
-                       save_adapter, save_dataset, save_matrix, swim)
+from warpmatch import (Dataset, FeatureMatrix, SwimConfig, SynthConfig, TrainConfig, evaluate,
+                       gen_task, init_adapter, save_adapter, save_dataset, save_matrix, swim)
 from warpmatch.cli import (_SCHEMA, _swim_config, _synth_config, load_run_config, main,
                            resolved_config_lines)
 from warpmatch.errors import FormatError, ValidationError
-from warpmatch.toy import write_toy_csvs
+from warpmatch.toy import TOY_E, TOY_S
+
+
+def write_toy_csvs(directory) -> tuple[str, str]:
+    """Write the toy pair as CSV files (for the command-line golden path)."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, arr in (("toy_s.csv", TOY_S), ("toy_e.csv", TOY_E)):
+        p = directory / name
+        p.write_text("\n".join(",".join(str(int(v)) for v in row) for row in arr) + "\n",
+                     encoding="utf-8")
+        paths.append(str(p))
+    return paths[0], paths[1]
 
 
 @pytest.fixture(scope="module")
@@ -52,15 +65,6 @@ class TestRunConfig:
         assert _swim_config(cfg) == SwimConfig()
         assert _synth_config(cfg) == SynthConfig()
 
-    def test_dropout_spellings(self):
-        for value, expected in (("on", True), ("YES", True), ("1", True),
-                                ("off", False), ("False", False), ("0", False)):
-            assert load_run_config(None, overrides=[f"dropout={value}"])["dropout"] is expected
-
-    def test_unknown_dropout_value_rejected(self):
-        with pytest.raises(ValidationError, match="bad value 'ture' for key 'dropout'"):
-            load_run_config(None, overrides=["dropout=ture"])
-
     def test_non_utf8_file_rejected(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_bytes(b"seed = 5\n# \xff\n")
@@ -83,12 +87,8 @@ def non_default(f):
     """A valid value other than ``f``'s default, as (text, parsed value)."""
     if f.name == "map_kind":
         return "identity", "identity"
-    if f.name == "batch_size":
-        return "7", 7
     d = f.default
-    if isinstance(d, bool):
-        value = not d
-    elif isinstance(d, int):
+    if isinstance(d, int):
         value = d + 1
     else:
         value = d / 2 if d else 0.25
@@ -226,6 +226,13 @@ def run_args(task_dir, outdir, extra=()):
             "--set", "alpha=2", "--set", "seed=6", *extra]
 
 
+def eval_args(task_dir, adapter, outdir, extra=()):
+    return ["eval", "topk",
+            "--seen", str(task_dir / "seen.manifest"),
+            "--emerging", str(task_dir / "emerging.manifest"),
+            "--adapter", str(adapter), "--outdir", str(outdir), *extra]
+
+
 class TestMatchRun:
     def test_produces_all_artifacts(self, small_task, tmp_path, capsys):
         out = tmp_path / "run"
@@ -254,8 +261,7 @@ class TestMatchRun:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_config_resolved_replays(self, small_task, tmp_path, capsys):
-        settings = ["dropout=on", "batch_size=0", "lr_decay=1.5e-3", "eps=1e-4",
-                    "dropout_p=0.3"]
+        settings = ["batch_size=0", "lr_decay=1.5e-3", "eps=1e-4", "dropout_p=0.3"]
         first = tmp_path / "first"
         argv = run_args(small_task, first, [a for s in settings for a in ("--set", s)])
         assert main(argv) == 0
@@ -318,19 +324,22 @@ class TestMatchRun:
         assert f"error: --set '{setting}': bad value '{value}' for key '{key}'" in err
         assert not out.exists()
 
-    def test_unknown_dropout_value_exit_2(self, small_task, tmp_path, capsys):
-        assert main(run_args(small_task, tmp_path / "run", ("--set", "dropout=ture"))) == 2
-        assert "bad value 'ture' for key 'dropout'" in capsys.readouterr().err
+    def test_config_naming_dropout_exit_2(self, small_task, tmp_path, capsys):
+        """A config written when dropout had an on/off key is refused, not
+        silently replayed with a different training setting."""
+        old = tmp_path / "old.resolved"
+        old.write_text("dropout = True\ndropout_p = 0.2\nseed = 6\n")
+        out = tmp_path / "run"
+        assert main(run_args(small_task, out, ("--config", str(old)))) == 2
+        assert "unknown config key 'dropout'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_topk_on_saved_adapter(self, small_task, tmp_path, capsys):
         run_out = tmp_path / "run"
         assert main(run_args(small_task, run_out, ("--set", "topk=2"))) == 0
         eval_out = tmp_path / "eval"
-        assert main(["eval", "topk",
-                     "--seen", str(small_task / "seen.manifest"),
-                     "--emerging", str(small_task / "emerging.manifest"),
-                     "--adapter", str(run_out / "adapter.lfa"),
-                     "--k", "2", "--outdir", str(eval_out), "--baseline", "knn"]) == 0
+        assert main(eval_args(small_task, run_out / "adapter.lfa", eval_out,
+                              ("--set", "topk=2", "--baseline", "knn"))) == 0
         # The run's report, ranked from its own final matrix, equals a fresh
         # ranking under the saved (trained, so LFA1-exact) adapter.
         assert (eval_out / "report.json").read_bytes() == (run_out / "report.json").read_bytes()
@@ -339,6 +348,43 @@ class TestMatchRun:
         assert all(len(item["ranked"]) == 2 for item in doc["items"])
         assert (eval_out / "baseline_report.json").exists()
         assert (eval_out / "baseline_report.csv").exists()
+
+        # config.resolved states the k it used, so replaying it gives the same files.
+        replay = tmp_path / "replay"
+        assert main(eval_args(small_task, run_out / "adapter.lfa", replay,
+                              ("--config", str(eval_out / "config.resolved"),
+                               "--baseline", "knn"))) == 0
+        names = sorted(p.name for p in eval_out.iterdir())
+        assert names == sorted(p.name for p in replay.iterdir())
+        for name in names:
+            assert (eval_out / name).read_bytes() == (replay / name).read_bytes(), name
+
+    @pytest.fixture
+    def mixed_shapes(self, tmp_path):
+        """A 3-class task whose matrices are 4x4, 5x4 and 4x5, and an adapter."""
+        rng = np.random.default_rng(3)
+        shapes = ((4, 4, 2), (5, 4, 2), (4, 5, 2))
+        task = tmp_path / "task"
+        for name in ("seen", "emerging"):
+            save_dataset(Dataset(name, tuple((i, FeatureMatrix(rng.uniform(0, 1, s)))
+                                             for i, s in enumerate(shapes))), task)
+        save_adapter(init_adapter(2, 4), task / "adapter.lfa")
+        return task
+
+    def test_knn_baseline_needs_one_shape_before_training(self, mixed_shapes, tmp_path,
+                                                           capsys):
+        out = tmp_path / "run"
+        assert main(run_args(mixed_shapes, out, ("--baseline", "knn"))) == 2
+        assert "pointwise baseline needs one common shape" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["config.resolved"]
+
+    def test_eval_knn_baseline_needs_one_shape_before_ranking(self, mixed_shapes, tmp_path,
+                                                              capsys):
+        out = tmp_path / "eval"
+        assert main(eval_args(mixed_shapes, mixed_shapes / "adapter.lfa", out,
+                              ("--baseline", "knn"))) == 2
+        assert "pointwise baseline needs one common shape" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["config.resolved"]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_2(self, small_task, tmp_path, capsys, workers):

@@ -1,6 +1,8 @@
-"""The demos stay runnable: their imports are public and the quick one runs."""
+"""The demos stay runnable: their imports are public, the keywords they pass
+to them exist, and the quick one runs."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -25,6 +27,17 @@ def test_demo_imports_are_public(demo):
     names = warpmatch_imports(demo)
     assert names, f"{demo.name} imports nothing from warpmatch"
     assert [n for n in names if n not in warpmatch.__all__] == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_keywords_are_parameters(demo):
+    names = set(warpmatch_imports(demo))
+    tree = ast.parse(demo.read_text(encoding="utf-8"), filename=str(demo))
+    calls = [(node.func.id, kw.arg) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in names for kw in node.keywords if kw.arg is not None]
+    assert [(name, kw) for name, kw in calls
+            if kw not in inspect.signature(getattr(warpmatch, name)).parameters] == []
 
 
 def test_alignment_toy_demo_runs():

@@ -78,7 +78,7 @@ def lines(*parts, prefix):
 csv_text = st.text(alphabet="0123456789.,-+e#nafi \r\n", max_size=40).map(str.encode)
 manifest_lines = lines(b"3,m.fmx", b"4, m.fmx", b"3,m.fmx", b"x,m.fmx", b"# seen", b"",
                        prefix=b"3,")
-config_lines = lines(b"seed = 3", b"alpha=2", b"dropout = on", b"eps = 1e-3", b"topk",
+config_lines = lines(b"seed = 3", b"alpha=2", b"dropout_p = 0.2", b"eps = 1e-3", b"topk",
                      b"# run", b"", prefix=b"seed = ")
 
 

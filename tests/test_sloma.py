@@ -53,7 +53,7 @@ class TestRunSloma:
         rng = np.random.default_rng(0)
         mats = [FeatureMatrix(rng.uniform(0.2, 0.8, (4, 4, 3))) for _ in range(3)]
         params0 = init_adapter(3, 8, seed=1, pass_through=True)
-        cfg = TrainConfig(epochs=3, dropout=False)
+        cfg = TrainConfig(epochs=3)
         params, steps = run_sloma(mats, mats, identity_pairs(3), params0,
                                   eps=1e9, cfg=cfg, max_iters=10)
         assert len(steps) == 1
@@ -101,7 +101,7 @@ class TestRunSloma:
                           noise_std=0.0, seed=3)
         seen, emerging, _ = gen_task(cfg)
         params0 = init_adapter(4, 24, seed=5, pass_through=True)
-        tc = TrainConfig(learning_rate=1e-2, lr_decay=1.5e-3, epochs=100, dropout=False)
+        tc = TrainConfig(learning_rate=1e-2, lr_decay=1.5e-3, epochs=100)
         params, steps = run_sloma(seen.matrices, emerging.matrices,
                                   identity_pairs(4), params0,
                                   eps=1e-3, cfg=tc, max_iters=25)
@@ -118,7 +118,7 @@ class TestRunSloma:
         seen = [FeatureMatrix(rng.uniform(0.2, 0.8, (3, 5, 2))) for _ in range(2)]
         emerging = [FeatureMatrix(rng.uniform(0.2, 0.8, (4, 3, 2))) for _ in range(2)]
         params0 = init_adapter(2, 6, seed=6)
-        tc = TrainConfig(epochs=2, dropout=False)
+        tc = TrainConfig(epochs=2)
         params, steps = run_sloma(seen, emerging, identity_pairs(2), params0,
                                   eps=1e-12, cfg=tc, max_iters=4)
         assert [s.iteration for s in steps] == list(range(1, len(steps) + 1))
@@ -131,7 +131,7 @@ class TestRunSloma:
         mats = [FeatureMatrix(rng.uniform(0.2, 0.8, (3, 3, 2))) for _ in range(2)]
         params0 = init_adapter(2, 4, seed=7, pass_through=True)
         params, _ = run_sloma(mats, mats, identity_pairs(2), params0,
-                              eps=1e9, cfg=TrainConfig(epochs=1, dropout=False),
+                              eps=1e9, cfg=TrainConfig(epochs=1),
                               max_iters=3)
         assert params0.pass_through
         assert not params.pass_through
@@ -163,7 +163,7 @@ class TestRunSloma:
         before = objective(params)
         trained, _ = train_on_pairs(
             params, (np.concatenate(xs), np.concatenate(ys)),
-            TrainConfig(learning_rate=1e-2, epochs=100, dropout=False))
+            TrainConfig(learning_rate=1e-2, epochs=100))
         after = objective(trained)
         assert after <= before
 
@@ -174,7 +174,7 @@ class TestRunSloma:
         emerging = [FeatureMatrix(rng.uniform(0.2, 0.8, (2, 4, 2)))]
         params0 = init_adapter(2, 4, seed=8)
         params, steps = run_sloma(seen, emerging, identity_pairs(1), params0,
-                                  eps=1e-12, cfg=TrainConfig(epochs=1, dropout=False),
+                                  eps=1e-12, cfg=TrainConfig(epochs=1),
                                   max_iters=2)
         assert steps[0].train_loss >= 0.0
         assert param_delta(params, params0) > 0.0

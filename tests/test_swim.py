@@ -24,7 +24,7 @@ from warpmatch.swim import _greedy_pairs, rank_columns
 
 
 def quick_train() -> TrainConfig:
-    return TrainConfig(learning_rate=1e-2, lr_decay=1.5e-3, epochs=40, dropout=False)
+    return TrainConfig(learning_rate=1e-2, lr_decay=1.5e-3, epochs=40)
 
 
 def tied_task():
@@ -202,7 +202,7 @@ class TestRunSwim:
         rng = np.random.default_rng(5)
         seen = [FeatureMatrix(rng.uniform(0.2, 0.8, (3, 3, 2)))]
         emerging = [FeatureMatrix(rng.uniform(0.2, 0.8, (3, 3, 2)))]
-        cfg = SwimConfig(alpha=1, hidden=4, train=TrainConfig(epochs=1, dropout=False),
+        cfg = SwimConfig(alpha=1, hidden=4, train=TrainConfig(epochs=1),
                          max_sloma_iters=2, seed=0)
         assignment, params, steps, _ = run_swim(seen, emerging, cfg)
         assert len(steps) == 1
@@ -215,7 +215,7 @@ class TestRunSwim:
         emerging = [FeatureMatrix(rng.uniform(0.2, 0.8, (2, 3, 2))) for _ in range(n)]
         for alpha in (1, 2, 3, 5):
             cfg = SwimConfig(alpha=alpha, hidden=4,
-                             train=TrainConfig(epochs=1, dropout=False),
+                             train=TrainConfig(epochs=1),
                              max_sloma_iters=1, seed=0)
             _, _, steps, _ = run_swim(seen, emerging, cfg)
             assert len(steps) == math.ceil(n / alpha)
@@ -228,7 +228,7 @@ class TestRunSwim:
         n = 6
         seen = [FeatureMatrix(rng.uniform(0.2, 0.8, (3, 3, 2))) for _ in range(n)]
         emerging = [FeatureMatrix(rng.uniform(0.2, 0.8, (3, 3, 2))) for _ in range(n)]
-        cfg = SwimConfig(alpha=2, hidden=4, train=TrainConfig(epochs=1, dropout=False),
+        cfg = SwimConfig(alpha=2, hidden=4, train=TrainConfig(epochs=1),
                          max_sloma_iters=1, seed=0)
         _, _, steps, _ = run_swim(seen, emerging, cfg)
         for step in steps:
@@ -271,7 +271,7 @@ class TestRunSwim:
         n = 4
         seen = [FeatureMatrix(rng.uniform(0.2, 0.8, (2, 3, 2))) for _ in range(n)]
         emerging = [FeatureMatrix(rng.uniform(0.2, 0.8, (2, 3, 2))) for _ in range(n)]
-        cfg = SwimConfig(alpha=n, hidden=4, train=TrainConfig(epochs=1, dropout=False),
+        cfg = SwimConfig(alpha=n, hidden=4, train=TrainConfig(epochs=1),
                          max_sloma_iters=1, seed=0)
         _, _, steps, _ = run_swim(seen, emerging, cfg)
         assert len(steps) == 1
@@ -280,7 +280,7 @@ class TestRunSwim:
     def test_trace_accuracy_equals_report_under_exact_tie(self):
         seen, emerging = tied_task()
         cfg = SwimConfig(alpha=3, hidden=8, max_sloma_iters=4, seed=0,
-                         train=TrainConfig(learning_rate=1e-2, epochs=40, dropout=False))
+                         train=TrainConfig(learning_rate=1e-2, epochs=40))
         for workers in (1, 2):
             _, params, steps, dist = run_swim(seen.matrices, emerging.matrices, cfg,
                                               class_ids=(seen.class_ids, emerging.class_ids),
