@@ -9,7 +9,6 @@ and grows cross-modality assignments with a self-reinforcing outer loop.
 from .adapter import (
     AdapterParams,
     TrainConfig,
-    adapt_element,
     adapt_matrix,
     init_adapter,
     load_adapter,
@@ -40,7 +39,6 @@ from .evaluate import (
 from .matrix import (
     Dataset,
     FeatureMatrix,
-    element_distance,
     load_dataset,
     load_matrix,
     load_matrix_csv,
@@ -73,13 +71,11 @@ __all__ = [
     "TrainConfig",
     "ValidationError",
     "WarpmatchError",
-    "adapt_element",
     "adapt_matrix",
     "dpw",
     "dpw_distance_matrix",
     "dtw",
     "dtw_path",
-    "element_distance",
     "gen_task",
     "init_adapter",
     "knn_baseline",

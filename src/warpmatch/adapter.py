@@ -2,11 +2,13 @@
 
 A small shared-weight perceptron maps a C-dimensional feature element of
 the emerging modality toward the seen modality's feature space; every
-layer is affine followed by a logistic sigmoid.  Training minimizes the
-mean squared distance between adapted and target elements with analytic
-gradients and Nesterov-corrected adaptive-moment updates; inverted dropout
-at ``TrainConfig.dropout_p`` (seeded, deterministic) applies during
-training only.
+layer is affine followed by a logistic sigmoid.  Training takes the
+element pairs as two (n, C) arrays, inputs X and targets Y, and minimizes
+the mean squared distance between adapted and target elements with
+analytic gradients and Nesterov-corrected adaptive-moment updates (NADAM,
+momentum-schedule constant 0.004); inverted dropout at
+``TrainConfig.dropout_p`` (seeded, deterministic) applies during training
+only.
 
 A training call copies the weights into one flat float64 vector laid out
 ``W1, b1, ..., Wn, bn``; each layer's W and b are reshaped views into it,
@@ -50,7 +52,6 @@ class TrainConfig:
     """
 
     learning_rate: float = 1e-3
-    schedule_decay: float = 0.004
     epochs: int = 20
     batch_size: int = 0  # 0: full batch up to 4096 pairs, else 1024
     dropout_p: float = 0.0
@@ -59,8 +60,6 @@ class TrainConfig:
     def __post_init__(self):
         if not (0 < self.learning_rate < math.inf):
             raise ValidationError("learning_rate must be positive and finite")
-        if not (0 <= self.schedule_decay < math.inf):
-            raise ValidationError("schedule_decay must be nonnegative and finite")
         if self.epochs < 1:
             raise ValidationError("epochs must be positive")
         if self.batch_size < 0:
@@ -231,39 +230,8 @@ class _Workspace:
         return loss
 
 
-def training_loss_and_gradients(layers, x, y, masks=None):
-    """Mean squared element distance and its analytic weight gradients.
-
-    Loss is the mean over pairs of the squared Euclidean distance between
-    the adapted input and the target.  ``masks`` (one per hidden layer)
-    fixes the dropout masks so the same loss surface can be probed by
-    finite differences.  Runs the training loop's own forward and backward
-    pass; the gradients are per-layer (dW, db) views into one flat vector.
-    """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    ws = _Workspace(layers, x.shape[0], masks is not None)
-    loss = ws.loss_and_grad(x, np.asarray(y, dtype=np.float64), masks)
-    return loss, ws.grads
-
-
 # ---------------------------------------------------------------------------
 # Inference
-
-def _infer(layers, x):
-    return _forward(layers, x, [np.empty((x.shape[0], w.shape[1])) for w, _ in layers])
-
-
-def adapt_element(params: AdapterParams, element) -> np.ndarray:
-    """Map one feature element through the adapter (deterministic, no dropout)."""
-    x = np.atleast_1d(np.asarray(element, dtype=np.float64))
-    if x.ndim != 1:
-        raise ValidationError("feature element must be a 1-D component vector")
-    if x.shape[0] != params.n_in:
-        raise ValidationError(f"element dimension mismatch: {x.shape[0]} vs {params.n_in}")
-    if params.pass_through:
-        return x.copy()
-    return _infer(params.layers, x[None, :])[0]
-
 
 def adapt_matrix(params: AdapterParams, m) -> FeatureMatrix:
     """Adapt every element of a feature matrix; positions and dims unchanged."""
@@ -272,42 +240,20 @@ def adapt_matrix(params: AdapterParams, m) -> FeatureMatrix:
         raise ValidationError(f"channel mismatch: {arr.shape[2]} vs {params.n_in}")
     if params.pass_through:
         return m if isinstance(m, FeatureMatrix) else FeatureMatrix(arr)
-    out = _infer(params.layers, arr.reshape(-1, arr.shape[2]))
-    return FeatureMatrix(out.reshape(arr.shape))
+    x = arr.reshape(-1, arr.shape[2])
+    acts = [np.empty((x.shape[0], w.shape[1])) for w, _ in params.layers]
+    return FeatureMatrix(_forward(params.layers, x, acts).reshape(arr.shape))
 
 
 # ---------------------------------------------------------------------------
 # Training
 
-def _pairs_to_arrays(pairs):
-    if isinstance(pairs, tuple) and len(pairs) == 2 and not isinstance(pairs[0], (tuple, list)):
-        x = np.asarray(pairs[0], dtype=np.float64)
-        y = np.asarray(pairs[1], dtype=np.float64)
-        if x.ndim == 1:  # a single (input, target) element pair
-            x = x[None, :]
-            y = np.atleast_1d(y)[None, :]
-    else:
-        try:
-            seq = [(p, t) for p, t in pairs]
-        except (TypeError, ValueError):
-            raise ValidationError("every training pair must be an (input, target) pair") from None
-        if not seq:
-            raise ValidationError("no training pairs")
-        x = np.stack([np.atleast_1d(np.asarray(p, dtype=np.float64)) for p, _ in seq])
-        y = np.stack([np.atleast_1d(np.asarray(t, dtype=np.float64)) for _, t in seq])
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValidationError("no training pairs")
-    if x.shape != y.shape:
-        raise ValidationError(f"input/target shape mismatch: {x.shape} vs {y.shape}")
-    return x, y
-
-
 def train_on_pairs(params: AdapterParams, pairs, cfg: TrainConfig,
                    on_epoch=None) -> tuple[AdapterParams, float]:
     """Train the adapter on (emerging element, seen element) pairs.
 
-    ``pairs`` is either an iterable of (input, target) element pairs or a
-    ready-made ``(X, Y)`` pair of (n, C) arrays.  Returns the trained params
+    ``pairs`` is a tuple ``(X, Y)`` of two (n, C) arrays: row i of X is an
+    input element and row i of Y its target.  Returns the trained params
     (with the pass-through flag cleared) and the final epoch's mean loss.
     ``on_epoch(epoch, mean_loss)`` is called after every epoch when given.
 
@@ -316,15 +262,21 @@ def train_on_pairs(params: AdapterParams, pairs, cfg: TrainConfig,
     params object stay deterministic without replaying the same masks.
 
     Each optimizer step is one NADAM update (Adam with Nesterov momentum,
-    Dozat 2016) over the flat weight vector, with moments fresh per call
-    and the learning-rate anneal on the cumulative ``opt_steps``.
+    Dozat 2016) over the flat weight vector, with moments fresh per call,
+    the momentum-schedule constant fixed at 0.004 and the learning-rate
+    anneal on the cumulative ``opt_steps``.
     """
-    x, y = _pairs_to_arrays(pairs)
+    if not (isinstance(pairs, tuple) and len(pairs) == 2
+            and all(isinstance(a, np.ndarray) and a.ndim == 2 for a in pairs)):
+        raise ValidationError("pairs must be a tuple (X, Y) of two (n, C) arrays")
+    x, y = (np.ascontiguousarray(a, dtype=np.float64) for a in pairs)
     n = x.shape[0]
+    if n == 0:
+        raise ValidationError("no training pairs")
+    if x.shape != y.shape:
+        raise ValidationError(f"input/target shape mismatch: {x.shape} vs {y.shape}")
     if x.shape[1] != params.n_in:
         raise ValidationError(f"pair dimension mismatch: {x.shape[1]} vs {params.n_in}")
-    x = np.ascontiguousarray(x)
-    y = np.ascontiguousarray(y)
     rng = np.random.default_rng([params.seed, params.train_calls])
     batch = min(cfg.batch_size or (n if n <= 4096 else 1024), n)
     use_dropout = cfg.dropout_p > 0.0
@@ -335,7 +287,7 @@ def train_on_pairs(params: AdapterParams, pairs, cfg: TrainConfig,
 
     flat, grad = ws.flat, ws.grad
     m, v, s1, s2 = (np.zeros_like(flat) for _ in range(4))
-    beta1, beta2, eps, sd = 0.9, 0.999, 1e-8, cfg.schedule_decay
+    beta1, beta2, eps, sd = 0.9, 0.999, 1e-8, 0.004
     t, mu_product = 0, 1.0
     final_loss = None
     for epoch in range(cfg.epochs):
@@ -420,8 +372,12 @@ def save_adapter(params: AdapterParams, path) -> None:
             f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
 
 
-def load_adapter(path, seed: int = 0) -> AdapterParams:
-    """Read an LFA1 checkpoint back into adapter params with training seed ``seed``."""
+def load_adapter(path) -> AdapterParams:
+    """Read an LFA1 checkpoint back into adapter params (training seed 0).
+
+    Malformed files, including non-finite weights and layer dimensions that
+    do not chain from C back to C, raise FormatError naming the path.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 8:
         raise FormatError(f"{path}: truncated header at byte offset {len(raw)}")
@@ -436,17 +392,22 @@ def load_adapter(path, seed: int = 0) -> AdapterParams:
         if len(raw) < pos + 8:
             raise FormatError(f"{path}: truncated layer header at byte offset {len(raw)}")
         rows, cols = struct.unpack_from("<II", raw, pos)
-        pos += 8
         if rows == 0 or cols == 0:
-            raise FormatError(f"{path}: zero layer dimension at byte offset {pos - 8}")
-        need = (rows * cols + cols) * 8
-        if len(raw) < pos + need:
+            raise FormatError(f"{path}: zero layer dimension at byte offset {pos}")
+        if layers and rows != layers[-1][1].shape[0]:
+            raise FormatError(f"{path}: layer dimensions do not chain at byte offset {pos}")
+        pos += 8
+        count = rows * cols + cols
+        if len(raw) < pos + count * 8:
             raise FormatError(f"{path}: truncated payload at byte offset {len(raw)}")
-        w = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=pos).reshape(rows, cols)
-        pos += rows * cols * 8
-        b = np.frombuffer(raw, dtype="<f8", count=cols, offset=pos)
-        pos += cols * 8
-        layers.append((w, b))
+        flat = np.frombuffer(raw, dtype="<f8", count=count, offset=pos)
+        bad = np.flatnonzero(~np.isfinite(flat))
+        if bad.size:
+            raise FormatError(f"{path}: non-finite value at byte offset {pos + 8 * int(bad[0])}")
+        layers.append((flat[:rows * cols].reshape(rows, cols), flat[rows * cols:]))
+        pos += count * 8
     if pos != len(raw):
         raise FormatError(f"{path}: trailing data at byte offset {pos}")
-    return AdapterParams(tuple(layers), seed=seed)
+    if layers[0][0].shape[0] != layers[-1][1].shape[0]:
+        raise FormatError(f"{path}: adapter input and output dimensions differ")
+    return AdapterParams(tuple(layers))

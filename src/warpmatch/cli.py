@@ -253,38 +253,35 @@ def build_parser() -> argparse.ArgumentParser:
     align.add_argument("-o", "--out", required=True)
     align.set_defaults(func=cmd_dpw_align)
 
+    # Flags shared between subcommands, each declared once.
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config")
+    configured.add_argument("--set", action="append", metavar="KEY=VALUE")
+    configured.add_argument("--outdir", required=True)
+    datasets = argparse.ArgumentParser(add_help=False, parents=[configured])
+    datasets.add_argument("--seen", required=True, help="seen-modality manifest")
+    datasets.add_argument("--emerging", required=True, help="emerging-modality manifest")
+    datasets.add_argument("--baseline", choices=["knn"])
+    datasets.add_argument("--workers", type=int, default=1,
+                          help="distance-matrix threads, >= 1 (default 1)")
+
     synth_p = sub.add_parser("synth", help="synthetic task generation")
     synth_sub = synth_p.add_subparsers(dest="command", required=True)
-    gen = synth_sub.add_parser("gen", help="generate a paired task with ground truth")
-    gen.add_argument("--config")
-    gen.add_argument("--set", action="append", metavar="KEY=VALUE")
-    gen.add_argument("--outdir", required=True)
+    gen = synth_sub.add_parser("gen", parents=[configured],
+                               help="generate a paired task with ground truth")
     gen.set_defaults(func=cmd_synth_gen)
 
     match_p = sub.add_parser("match", help="full matching runs")
     match_sub = match_p.add_subparsers(dest="command", required=True)
-    run = match_sub.add_parser("run", help="run the full self-reinforcing matcher")
-    run.add_argument("--seen", required=True, help="seen-modality manifest")
-    run.add_argument("--emerging", required=True, help="emerging-modality manifest")
-    run.add_argument("--config")
-    run.add_argument("--set", action="append", metavar="KEY=VALUE")
-    run.add_argument("--outdir", required=True)
-    run.add_argument("--baseline", choices=["knn"])
-    run.add_argument("--workers", type=int, default=1,
-                     help="distance-matrix threads, >= 1 (default 1)")
+    run = match_sub.add_parser("run", parents=[datasets],
+                               help="run the full self-reinforcing matcher")
     run.set_defaults(func=cmd_match_run)
 
     eval_p = sub.add_parser("eval", help="evaluation reports")
     eval_sub = eval_p.add_subparsers(dest="command", required=True)
-    topk = eval_sub.add_parser("topk", help="rank and score with a saved adapter")
-    topk.add_argument("--seen", required=True)
-    topk.add_argument("--emerging", required=True)
+    topk = eval_sub.add_parser("topk", parents=[datasets],
+                               help="rank and score with a saved adapter")
     topk.add_argument("--adapter", required=True)
-    topk.add_argument("--config")
-    topk.add_argument("--set", action="append", metavar="KEY=VALUE")
-    topk.add_argument("--outdir", required=True)
-    topk.add_argument("--baseline", choices=["knn"])
-    topk.add_argument("--workers", type=int, default=1)
     topk.set_defaults(func=cmd_eval_topk)
     return p
 

@@ -87,8 +87,6 @@ class DpwTables:
 
     hier_acc: np.ndarray
     row_tables: np.ndarray
-    source: np.ndarray
-    target: np.ndarray
 
     @property
     def distance(self) -> float:
@@ -96,11 +94,11 @@ class DpwTables:
 
     @property
     def shape_s(self) -> tuple[int, int]:
-        return self.source.shape[0], self.source.shape[1]
+        return self.row_tables.shape[2], self.row_tables.shape[0]
 
     @property
     def shape_e(self) -> tuple[int, int]:
-        return self.target.shape[0], self.target.shape[1]
+        return self.row_tables.shape[3], self.row_tables.shape[1]
 
     def row_table(self, h: int, e: int) -> np.ndarray:
         """Accumulated DTW table for row h of the source vs row e of the target."""
@@ -167,7 +165,7 @@ def dpw(s, e) -> tuple[float, DpwTables]:
         raise ValidationError(f"channel mismatch: {c} vs {b.shape[2]}")
     row_acc, hier_acc = two_level_tables(
         cdist(b.reshape(-1, c), column_rows(a[None])), 1, a.shape[:2], 1, b.shape[:2])
-    tables = DpwTables(hier_acc[:, :, 0, 0], row_acc, a, b)
+    tables = DpwTables(hier_acc[:, :, 0, 0], row_acc)
     return tables.distance, tables
 
 

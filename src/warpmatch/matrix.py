@@ -1,4 +1,4 @@
-"""Feature-matrix value types, element distance, and dataset/file I/O.
+"""Feature-matrix value types and dataset/file I/O.
 
 A feature matrix is an H x W grid of C-dimensional feature elements kept
 as an immutable float64 array of shape (H, W, C).  Matrices travel on disk
@@ -10,7 +10,6 @@ matrices.
 from __future__ import annotations
 
 import io
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,26 +83,6 @@ class FeatureMatrix:
         return self.data.shape == other.data.shape and np.array_equal(self.data, other.data)
 
     __hash__ = None
-
-
-def element_distance(a, b) -> float:
-    """Euclidean distance between two feature elements.
-
-    Raises ValidationError when the elements have different dimensions or
-    contain non-finite components.
-    """
-    ea = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    eb = np.atleast_1d(np.asarray(b, dtype=np.float64))
-    if ea.ndim != 1 or eb.ndim != 1:
-        raise ValidationError("feature elements must be 1-D component vectors")
-    if ea.size < 1 or eb.size < 1:
-        raise ValidationError("feature elements must have at least one component")
-    if ea.size != eb.size:
-        raise ValidationError(f"element dimension mismatch: {ea.size} vs {eb.size}")
-    if not (np.isfinite(ea).all() and np.isfinite(eb).all()):
-        raise ValidationError("feature elements must be finite")
-    d = ea - eb
-    return math.sqrt(float(np.dot(d, d)))
 
 
 # ---------------------------------------------------------------------------

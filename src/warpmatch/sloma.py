@@ -63,7 +63,7 @@ def _element_pairs(seen_arr, raw_e_arr, hipa):
 
 
 def run_sloma(seen, emerging, pairs: MatchedPairSet, params0: AdapterParams,
-              eps: float, cfg: TrainConfig, max_iters: int = 50):
+              eps: float, cfg: TrainConfig, max_iters: int):
     """Alternate adapt / align / retrain until the weights settle.
 
     Parameters

@@ -3,7 +3,9 @@
 Everything here is deliberately written without the library's DP kernels
 and its fused training loop: recursive path enumeration, pure-Python sums,
 finite differences, the per-array adapter training loop, and the synthetic
-field upsampled one channel at a time.
+field upsampled one channel at a time.  The one exception is
+``training_loss_and_gradients``: it runs the training loop's own forward
+and backward pass on one batch, so that finite differences can check it.
 """
 
 import itertools
@@ -11,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from warpmatch.adapter import _pairs_to_arrays, training_loss_and_gradients
+from warpmatch.adapter import _Workspace
 from warpmatch.dpw import HiPa, PathNode
 from warpmatch.errors import DivergenceError, ValidationError
 
@@ -144,6 +146,20 @@ def reference_smooth_field(rng, h, w, c) -> np.ndarray:
         bot = g[y1][:, x0] * (1 - fx) + g[y1][:, x1] * fx
         out[:, :, ch] = top * (1 - fy) + bot * fy
     return out
+
+
+def training_loss_and_gradients(layers, x, y, masks=None):
+    """Mean squared element distance and its analytic weight gradients,
+    from the training loop's own forward and backward pass.
+
+    ``masks`` (one per hidden layer) fixes the dropout masks so the same
+    loss surface can be probed by finite differences.  The gradients are
+    per-layer (dW, db) views into one flat vector.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    ws = _Workspace(layers, x.shape[0], masks is not None)
+    loss = ws.loss_and_grad(x, np.asarray(y, dtype=np.float64), masks)
+    return loss, ws.grads
 
 
 def finite_difference_grads(layers, x, y, masks=None, h=1e-5):
@@ -282,7 +298,7 @@ class _Nadam:
 def reference_train_on_pairs(params, pairs, cfg, on_epoch=None):
     """``train_on_pairs`` as a loop over separate weight arrays: fresh
     temporaries for every product, one optimizer update per array."""
-    x, y = _pairs_to_arrays(pairs)
+    x, y = pairs
     n = x.shape[0]
     rng = np.random.default_rng([params.seed, params.train_calls])
     batch = min(cfg.batch_size or (n if n <= 4096 else 1024), n)
@@ -292,7 +308,7 @@ def reference_train_on_pairs(params, pairs, cfg, on_epoch=None):
 
     layers = [(w.copy(), b.copy()) for w, b in params.layers]
     flat = [a for pair in layers for a in pair]
-    opt = _Nadam(cfg.learning_rate, cfg.schedule_decay,
+    opt = _Nadam(cfg.learning_rate, 0.004,
                  lr_decay=cfg.lr_decay, step_offset=params.opt_steps)
     final_loss = None
     for epoch in range(cfg.epochs):

@@ -8,7 +8,6 @@ from warpmatch import (
     FeatureMatrix,
     FormatError,
     ValidationError,
-    adapt_element,
     adapt_matrix,
     init_adapter,
     load_adapter,
@@ -34,6 +33,11 @@ def reference_forward(layers, x):
             z.append(s)
         a = [1.0 / (1.0 + math.exp(-v)) for v in z]
     return a
+
+
+def adapt_one(params, x):
+    """One element through ``adapt_matrix``, as a 1 x 1 matrix."""
+    return adapt_matrix(params, np.reshape(x, (1, 1, -1))).data[0, 0]
 
 
 class TestInit:
@@ -78,13 +82,13 @@ class TestForward:
             (np.zeros((3, 5)), np.zeros(5)),
             (np.zeros((5, 3)), np.zeros(3)),
         ))
-        out = adapt_element(p, [0.3, 0.7, 0.1])
+        out = adapt_one(p, [0.3, 0.7, 0.1])
         assert np.allclose(out, 0.5)
 
     def test_pass_through_is_identity(self):
         p = init_adapter(4, 8, seed=0, pass_through=True)
         x = np.array([0.1, 0.9, 0.4, 0.2])
-        assert np.array_equal(adapt_element(p, x), x)
+        assert np.array_equal(adapt_one(p, x), x)
         m = FeatureMatrix(np.random.default_rng(0).uniform(0, 1, (3, 3, 4)))
         assert adapt_matrix(p, m) == m
 
@@ -95,13 +99,13 @@ class TestForward:
                              seed=int(rng.integers(1000)))
             x = rng.uniform(-1, 1, p.n_in)
             expect = reference_forward(p.layers, x)
-            got = adapt_element(p, x)
+            got = adapt_one(p, x)
             assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         p = init_adapter(4, 8, seed=0)
         with pytest.raises(ValidationError):
-            adapt_element(p, [1.0, 2.0])
+            adapt_one(p, [1.0, 2.0])
 
 
 class TestAdaptMatrix:
@@ -122,7 +126,7 @@ class TestAdaptMatrix:
         for _ in range(10):
             h = int(rng.integers(0, 4))
             w = int(rng.integers(0, 5))
-            assert np.allclose(out.element(h, w), adapt_element(p, m.element(h, w)),
+            assert np.allclose(out.element(h, w), adapt_one(p, m.element(h, w)),
                                rtol=1e-12, atol=1e-12)
 
 
@@ -159,7 +163,7 @@ class TestTraining:
     def test_single_scalar_pair_converges(self):
         p = init_adapter(1, 8, seed=2)
         cfg = TrainConfig(learning_rate=1e-2, epochs=800)
-        p, loss = train_on_pairs(p, [( [0.3], [0.7] )], cfg)
+        p, loss = train_on_pairs(p, (np.array([[0.3]]), np.array([[0.7]])), cfg)
         assert loss < 1e-3
 
     def test_scalar_map_converges(self):
@@ -195,24 +199,18 @@ class TestTraining:
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
     def test_empty_pairs_rejected(self):
-        with pytest.raises(ValidationError):
-            train_on_pairs(init_adapter(2, 4), [], TrainConfig())
+        with pytest.raises(ValidationError, match="no training pairs"):
+            train_on_pairs(init_adapter(2, 4), (np.empty((0, 2)), np.empty((0, 2))),
+                           TrainConfig())
 
-    def test_items_that_are_not_pairs_rejected(self):
-        # A tuple whose first item is a list is a sequence of pairs, and
-        # each item here has one element.
-        params = init_adapter(1, 4)
-        for pairs in (([0.3], [0.7]), ([[0.1]], [[0.3]])):
-            with pytest.raises(ValidationError, match="input, target"):
-                train_on_pairs(params, pairs, TrainConfig(epochs=1))
-
-    def test_pair_forms_agree(self):
+    def test_pairs_other_than_two_arrays_rejected(self):
+        # A list or tuple of element pairs, or one pair of 1-D elements.
         x = np.array([[0.1, 0.2], [0.3, 0.4]])
         y = np.array([[0.2, 0.1], [0.4, 0.3]])
-        cfg = TrainConfig(epochs=2)
-        arrays, _ = train_on_pairs(init_adapter(2, 4), (x, y), cfg)
-        listed, _ = train_on_pairs(init_adapter(2, 4), [(x[0], y[0]), (x[1], y[1])], cfg)
-        assert param_delta(arrays, listed) == 0.0
+        listed = [(x[0], y[0]), (x[1], y[1])]
+        for pairs in (listed, tuple(listed), (x[0], y[0]), [x, y]):
+            with pytest.raises(ValidationError, match=r"tuple \(X, Y\) of two \(n, C\) arrays"):
+                train_on_pairs(init_adapter(2, 4), pairs, TrainConfig(epochs=1))
 
     def test_non_finite_input_raises_divergence(self):
         x = np.array([[np.nan, 0.0]])
@@ -237,7 +235,6 @@ class TestTraining:
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"learning_rate": math.nan}, {"learning_rate": math.inf}, {"learning_rate": 0.0},
-        {"schedule_decay": math.nan}, {"schedule_decay": math.inf}, {"schedule_decay": -1.0},
         {"lr_decay": math.nan}, {"lr_decay": math.inf}, {"lr_decay": -1e-3},
     ])
     def test_bad_float_rejected(self, kwargs):

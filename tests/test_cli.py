@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 import warpmatch
 from warpmatch import (Dataset, FeatureMatrix, SwimConfig, SynthConfig, TrainConfig, evaluate,
                        gen_task, init_adapter, save_adapter, save_dataset, save_matrix, swim)
+from warpmatch.adapter import CKPT_MAGIC
 from warpmatch.cli import (_SCHEMA, _swim_config, _synth_config, load_run_config, main,
                            resolved_config_lines)
 from warpmatch.errors import FormatError, ValidationError
@@ -333,6 +336,33 @@ class TestMatchRun:
         assert main(run_args(small_task, out, ("--config", str(old)))) == 2
         assert "unknown config key 'dropout'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_naming_schedule_decay_exit_2(self, small_task, tmp_path, capsys):
+        """NADAM's momentum-schedule constant is no longer a key."""
+        old = tmp_path / "old.resolved"
+        old.write_text("schedule_decay = 0.004\nseed = 6\n")
+        out = tmp_path / "run"
+        assert main(run_args(small_task, out, ("--config", str(old)))) == 2
+        assert "unknown config key 'schedule_decay'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shapes, message", [
+        (((3, 4), (4, 3)), "non-finite value at byte offset 64"),
+        (((3, 4), (5, 3)), "layer dimensions do not chain at byte offset 144"),
+        (((3, 4), (4, 2)), "adapter input and output dimensions differ"),
+    ], ids=["nan_weight", "unchained", "not_c_to_c"])
+    def test_eval_topk_corrupt_adapter_exit_1(self, small_task, tmp_path, capsys,
+                                              shapes, message):
+        """A corrupt checkpoint is a format error naming the file."""
+        raw = bytearray(CKPT_MAGIC + struct.pack("<I", len(shapes)))
+        for rows, cols in shapes:
+            raw += struct.pack("<II", rows, cols) + bytes(8 * (rows * cols + cols))
+        if message.startswith("non-finite"):
+            raw[64:72] = struct.pack("<d", math.nan)  # W1[1, 2]
+        adapter = tmp_path / "adapter.lfa"
+        adapter.write_bytes(raw)
+        assert main(eval_args(small_task, adapter, tmp_path / "eval", ("--set", "topk=2"))) == 1
+        assert f"error: {adapter}: {message}" in capsys.readouterr().err
 
     def test_eval_topk_on_saved_adapter(self, small_task, tmp_path, capsys):
         run_out = tmp_path / "run"

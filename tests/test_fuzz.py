@@ -1,5 +1,6 @@
 """Parser fuzzing: every reader turns arbitrary bytes into a value or a
-FormatError / ValidationError, never another exception.
+FormatError / ValidationError, never another exception; the adapter
+checkpoint reader raises only FormatError.
 
 Each test writes its input over one file in a module-wide directory; the
 hypothesis profile in conftest.py keeps the examples derandomised.
@@ -88,8 +89,13 @@ def test_fmx_reader(workdir, data):
 
 
 @given(st.one_of(st.binary(max_size=64), lfa_files()))
+@example(CKPT_MAGIC + struct.pack("<III2d", 1, 1, 1, np.nan, 0.0))  # non-finite weight
+@example(CKPT_MAGIC + struct.pack("<III", 1, 1, 2) + bytes(32))  # 1 in, 2 out
+@example(CKPT_MAGIC + struct.pack("<III2d", 2, 1, 1, 0.0, 0.0)
+         + struct.pack("<II3d", 2, 1, 0.0, 0.0, 0.0))  # 1 out, then 2 in
 def test_lfa_reader(workdir, data):
-    read(load_adapter, workdir / "fuzz.lfa", data)
+    # A corrupt checkpoint is a format error, whatever its fault.
+    read(load_adapter, workdir / "fuzz.lfa", data, FormatError)
 
 
 @given(st.one_of(st.binary(max_size=64), csv_text))

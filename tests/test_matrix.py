@@ -1,62 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from warpmatch import (
     Dataset,
     FeatureMatrix,
     FormatError,
     ValidationError,
-    element_distance,
     load_dataset,
     load_matrix,
     load_matrix_csv,
     save_dataset,
     save_matrix,
 )
-
-finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-vectors = st.lists(finite, min_size=1, max_size=6)
-
-
-class TestElementDistance:
-    def test_identical_scalar_is_zero(self):
-        assert element_distance([3.0], [3.0]) == 0.0
-
-    def test_3_4_5_triangle(self):
-        assert element_distance([0.0, 3.0], [4.0, 0.0]) == 5.0
-
-    def test_hand_computed_norm(self):
-        # sqrt(1 + 4 + 4) = 3
-        assert element_distance([1.0, 2.0, 2.0], [0.0, 0.0, 0.0]) == 3.0
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            element_distance([1.0, 2.0], [1.0])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValidationError):
-            element_distance([np.nan], [0.0])
-
-    @given(vectors, vectors)
-    def test_nonnegative_and_symmetric(self, a, b):
-        if len(a) != len(b):
-            a = (a * len(b))[: len(b)]
-        d_ab = element_distance(a, b)
-        assert d_ab >= 0.0
-        assert d_ab == element_distance(b, a)
-
-    @given(vectors)
-    def test_identity_of_indiscernibles(self, a):
-        assert element_distance(a, a) == 0.0
-
-    @given(st.integers(1, 5), st.data())
-    def test_triangle_inequality(self, dim, data):
-        vec = st.lists(finite, min_size=dim, max_size=dim)
-        a, b, c = data.draw(vec), data.draw(vec), data.draw(vec)
-        assert element_distance(a, c) <= (
-            element_distance(a, b) + element_distance(b, c) + 1e-9
-        )
 
 
 class TestFeatureMatrix:

@@ -71,14 +71,14 @@ class TestRunSloma:
     def test_empty_pair_set_rejected(self):
         with pytest.raises(ValidationError):
             run_sloma([], [], MatchedPairSet(()), init_adapter(2, 4),
-                      eps=1e-3, cfg=TrainConfig())
+                      eps=1e-3, cfg=TrainConfig(), max_iters=1)
 
     def test_nonpositive_eps_rejected(self):
         rng = np.random.default_rng(2)
         mats = [FeatureMatrix(rng.uniform(0, 1, (2, 2, 2)))]
         with pytest.raises(ValidationError):
             run_sloma(mats, mats, identity_pairs(1), init_adapter(2, 4),
-                      eps=0.0, cfg=TrainConfig())
+                      eps=0.0, cfg=TrainConfig(), max_iters=1)
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
     def test_non_finite_eps_rejected(self, eps):
@@ -86,7 +86,7 @@ class TestRunSloma:
         mats = [FeatureMatrix(rng.uniform(0, 1, (2, 2, 2)))]
         with pytest.raises(ValidationError, match="eps must be positive and finite"):
             run_sloma(mats, mats, identity_pairs(1), init_adapter(2, 4),
-                      eps=eps, cfg=TrainConfig())
+                      eps=eps, cfg=TrainConfig(), max_iters=1)
 
     def test_negative_max_iters_rejected(self):
         rng = np.random.default_rng(2)
