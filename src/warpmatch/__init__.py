@@ -1,9 +1,10 @@
 """warpmatch: order-preserving 2D alignment and self-reinforcing matching.
 
 The library aligns feature matrices (H x W grids of C-dimensional
-elements) with a two-level dynamic-programming warp, learns an
-element-to-element adapter between modalities from its own alignments,
-and grows cross-modality assignments with a self-reinforcing outer loop.
+elements) with a two-level dynamic-programming warp (`dpw`, which is plain
+DTW on one-row matrices), learns an element-to-element adapter between
+modalities from its own alignments, and grows cross-modality assignments
+with a self-reinforcing outer loop.
 """
 
 from .adapter import (
@@ -25,7 +26,7 @@ from .dpw import (
     path_cost,
     validate_hipa,
 )
-from .dtw import dtw, dtw_path
+from .dtw import dtw_path
 from .errors import DivergenceError, FormatError, ValidationError, WarpmatchError
 from .evaluate import (
     ItemMatches,
@@ -74,7 +75,6 @@ __all__ = [
     "adapt_matrix",
     "dpw",
     "dpw_distance_matrix",
-    "dtw",
     "dtw_path",
     "gen_task",
     "init_adapter",

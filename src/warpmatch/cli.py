@@ -5,8 +5,8 @@ Runs are configured by a plain `key = value` text file plus `--set key=value`
 overrides.  The keys are the fields of `SwimConfig` (but its nested `train`),
 `TrainConfig` and `SynthConfig`, with their defaults, plus the CLI's own
 `topk` (default 5), the k of `match run`'s and `eval topk`'s reports.
-Unknown keys are rejected and every configured run logs the fully resolved
-configuration.  All randomness flows from the single `seed` key.
+Unknown keys are rejected; every configured run logs the fully resolved
+configuration, then checks all of it.  All randomness flows from `seed`.
 
 Exit codes: 0 success, 1 I/O or format error, 2 validation error,
 3 numerical divergence.
@@ -94,12 +94,9 @@ def _build(cls, cfg: dict, **extra):
     return cls(**{f.name: cfg[f.name] for f in _fields(cls)}, **extra)
 
 
-def _swim_config(cfg: dict) -> SwimConfig:
-    return _build(SwimConfig, cfg, train=_build(TrainConfig, cfg))
-
-
-def _synth_config(cfg: dict) -> SynthConfig:
-    return _build(SynthConfig, cfg)
+def _run_configs(cfg: dict) -> tuple[SwimConfig, SynthConfig]:
+    """Build the config dataclasses from ``cfg``; each checks its own keys."""
+    return _build(SwimConfig, cfg, train=_build(TrainConfig, cfg)), _build(SynthConfig, cfg)
 
 
 def _load_any_matrix(path):
@@ -112,9 +109,10 @@ def _write_lines(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _configured(args) -> tuple[dict, Path]:
-    """Resolve the run config, create the output directory and log the
-    resolved config to ``<outdir>/config.resolved`` and stderr."""
+def _configured(args) -> tuple[int, SwimConfig, SynthConfig, Path]:
+    """Resolve the run config, create the output directory, log the resolved
+    config to ``<outdir>/config.resolved`` and stderr, and check every key it
+    logs before any work.  Returns topk, SwimConfig, SynthConfig and outdir."""
     cfg = load_run_config(args.config, args.set or ())
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -122,7 +120,7 @@ def _configured(args) -> tuple[dict, Path]:
     _write_lines(outdir / "config.resolved", lines)
     for line in lines:
         print(f"# {line}", file=sys.stderr)
-    return cfg, outdir
+    return (cfg["topk"], *_run_configs(cfg), outdir)
 
 
 def _load_datasets(args, k: int):
@@ -188,8 +186,8 @@ def cmd_dpw_align(args) -> int:
 
 
 def cmd_synth_gen(args) -> int:
-    cfg, outdir = _configured(args)
-    seen, emerging, truth = gen_task(_synth_config(cfg))
+    _, _, synth_cfg, outdir = _configured(args)
+    seen, emerging, truth = gen_task(synth_cfg)
     seen_manifest = save_dataset(seen, outdir)
     emerging_manifest = save_dataset(emerging, outdir)
     truth_lines = ["emerging_class_id,seen_class_id"]
@@ -200,10 +198,10 @@ def cmd_synth_gen(args) -> int:
 
 
 def cmd_match_run(args) -> int:
-    cfg, outdir = _configured(args)
-    seen, emerging, topk = _load_datasets(args, cfg["topk"])
+    topk, swim_cfg, _, outdir = _configured(args)
+    seen, emerging, topk = _load_datasets(args, topk)
     assignment, params, steps, dist = run_swim(
-        seen.matrices, emerging.matrices, _swim_config(cfg),
+        seen.matrices, emerging.matrices, swim_cfg,
         class_ids=(seen.class_ids, emerging.class_ids), workers=args.workers)
 
     final = steps[-1]
@@ -222,9 +220,8 @@ def cmd_match_run(args) -> int:
 
 
 def cmd_eval_topk(args) -> int:
-    cfg, outdir = _configured(args)
-    _swim_config(cfg)  # reject what match run would reject (seed=-1, ...)
-    seen, emerging, k = _load_datasets(args, cfg["topk"])
+    topk, _, _, outdir = _configured(args)
+    seen, emerging, k = _load_datasets(args, topk)
     params = load_adapter(args.adapter)
     report = match_topk(seen, emerging, params, k=k, workers=args.workers)
     _write_reports(args, outdir, seen, emerging, params, report)

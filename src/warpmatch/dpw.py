@@ -1,10 +1,10 @@
 """Dynamic position warping: order-preserving alignment of 2D feature matrices.
 
 The aligner pairs rows of the two matrices first (the hierarchical level)
-and elements within each paired row second; both levels obey boundary,
-monotonicity and unit-step constraints.  The minimum total element cost is
-the dpw distance, and the two-level path achieving it is recovered by
-backtracking through the stored tables.
+and elements within each paired row second; both levels are lattice paths
+under one set of boundary, monotonicity and unit-step rules.  The minimum
+total element cost is the dpw distance (plain DTW on one-row matrices), and
+the two-level path achieving it is recovered by backtracking the tables.
 
 :func:`two_level_tables` is the one owner of that two-level volume layout:
 :func:`dpw` is its single-pair case, and the batched distance matrix in
@@ -23,7 +23,7 @@ from scipy.spatial.distance import cdist
 
 from .dtw import accumulate_tables, dtw_path
 from .errors import ValidationError
-from .matrix import as_feature_array
+from .matrix import _as_index, as_feature_array
 
 _STEPS = ((1, 1), (1, 0), (0, 1))
 
@@ -44,7 +44,9 @@ class PathNode:
     cols: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "cols", tuple((int(a), int(b)) for a, b in self.cols))
+        object.__setattr__(self, "hs", _as_index(self.hs))
+        object.__setattr__(self, "he", _as_index(self.he))
+        object.__setattr__(self, "cols", tuple((_as_index(a), _as_index(b)) for a, b in self.cols))
 
 
 @dataclass(frozen=True)
@@ -157,6 +159,8 @@ def dpw(s, e) -> tuple[float, DpwTables]:
     Returns
     -------
     (distance, tables)
+        One-row matrices give plain DTW: ``dpw(a[None], b[None])`` for (W, C)
+        rows, with ``tables.row_table(0, 0)`` their accumulated-cost table.
     """
     a = as_feature_array(s)
     b = as_feature_array(e)
@@ -218,57 +222,35 @@ def validate_hipa(hipa: HiPa, shape_s, shape_e) -> list[str]:
     Returns a list of human-readable violations (empty when the path is
     valid): boundary (must span both matrices completely), monotonicity
     (indices never decrease) and step size (unit steps only), plus plain
-    index-range checks.
+    index-range checks, for the row path and then each row node's element path.
     """
-    hs_max, ws_max = int(shape_s[0]), int(shape_s[1])
-    he_max, we_max = int(shape_e[0]), int(shape_e[1])
-    out = []
-    nodes = hipa.nodes
-    if not nodes:
+    if not hipa.nodes:
         return ["boundary: path has no row nodes"]
-
-    for l, node in enumerate(nodes, 1):
-        if not (1 <= node.hs <= hs_max and 1 <= node.he <= he_max):
-            out.append(f"range: row node {l} ({node.hs},{node.he}) outside "
-                       f"[1,{hs_max}]x[1,{he_max}]")
+    out = _lattice_violations([(node.hs, node.he) for node in hipa.nodes],
+                              int(shape_s[0]), int(shape_e[0]), "row node {}")
+    for l, node in enumerate(hipa.nodes, 1):
         if not node.cols:
             out.append(f"boundary: row node {l} has no element pairs")
             continue
-        for k, (ws, we) in enumerate(node.cols, 1):
-            if not (1 <= ws <= ws_max and 1 <= we <= we_max):
-                out.append(f"range: element node {k} of row node {l} ({ws},{we}) "
-                           f"outside [1,{ws_max}]x[1,{we_max}]")
-
-    if nodes[0].hs != 1 or nodes[0].he != 1:
-        out.append(f"boundary: first row node is ({nodes[0].hs},{nodes[0].he}), expected (1,1)")
-    if nodes[-1].hs != hs_max or nodes[-1].he != he_max:
-        out.append(f"boundary: last row node is ({nodes[-1].hs},{nodes[-1].he}), "
-                   f"expected ({hs_max},{he_max})")
-    for l, node in enumerate(nodes, 1):
-        if node.cols:
-            if node.cols[0] != (1, 1):
-                out.append(f"boundary: row node {l} starts at {node.cols[0]}, expected (1,1)")
-            if node.cols[-1] != (ws_max, we_max):
-                out.append(f"boundary: row node {l} ends at {node.cols[-1]}, "
-                           f"expected ({ws_max},{we_max})")
-
-    for l in range(1, len(nodes)):
-        dh = nodes[l].hs - nodes[l - 1].hs
-        de = nodes[l].he - nodes[l - 1].he
-        if dh < 0 or de < 0:
-            out.append(f"monotonicity: row node {l + 1} steps backwards ({dh},{de})")
-        if (dh, de) not in _STEPS:
-            out.append(f"step size: row node {l + 1} delta ({dh},{de}) not in "
-                       "{(1,0),(0,1),(1,1)}")
-    for l, node in enumerate(nodes, 1):
-        for k in range(1, len(node.cols)):
-            dw = node.cols[k][0] - node.cols[k - 1][0]
-            dv = node.cols[k][1] - node.cols[k - 1][1]
-            if dw < 0 or dv < 0:
-                out.append(f"monotonicity: element node {k + 1} of row node {l} "
-                           f"steps backwards ({dw},{dv})")
-            if (dw, dv) not in _STEPS:
-                out.append(f"step size: element node {k + 1} of row node {l} delta "
-                           f"({dw},{dv}) not in {{(1,0),(0,1),(1,1)}}")
+        out += _lattice_violations(node.cols, int(shape_s[1]), int(shape_e[1]),
+                                   f"element node {{}} of row node {l}")
     return out
 
+
+def _lattice_violations(points, n: int, m: int, label: str) -> list[str]:
+    """Violations of one nonempty path of 1-based points from (1,1) to (n,m);
+    ``label.format(k)`` names point k; boundary messages leave out the number."""
+    out = [f"range: {label.format(k)} ({i},{j}) outside [1,{n}]x[1,{m}]"
+           for k, (i, j) in enumerate(points, 1) if not (1 <= i <= n and 1 <= j <= m)]
+    for end, (i, j), want in (("first", points[0], (1, 1)), ("last", points[-1], (n, m))):
+        if (i, j) != want:
+            out.append(f"boundary: {end} {label.replace(' {}', '')} is ({i},{j}), "
+                       f"expected ({want[0]},{want[1]})")
+    for k, ((i0, j0), (i1, j1)) in enumerate(zip(points, points[1:]), 2):
+        di, dj = i1 - i0, j1 - j0
+        if di < 0 or dj < 0:
+            out.append(f"monotonicity: {label.format(k)} steps backwards ({di},{dj})")
+        if (di, dj) not in _STEPS:
+            out.append(f"step size: {label.format(k)} delta ({di},{dj}) not in "
+                       "{(1,0),(0,1),(1,1)}")
+    return out

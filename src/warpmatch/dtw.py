@@ -1,30 +1,16 @@
-"""Dynamic time warping over sequences of feature elements.
+"""The alignment DP kernel and its backtrack.
 
-The accumulated-cost table is always kept in full because the hierarchical
-aligner backtracks through interior prefix values.  One accumulation kernel,
-:func:`accumulate_tables`, is the only alignment DP in the library: it
-powers plain DTW here and both levels of
-:func:`warpmatch.dpw.two_level_tables`, which owns the two-level volume
-layout for ``dpw`` and the batched distance matrix.  It runs the recurrence
-over a whole batch of problems at once and in place, which is what makes
-plain numpy fast enough here.
+:func:`accumulate_tables` is the only alignment DP in the library: it runs
+the DTW recurrence over a batch of problems at once and in place, which is
+what makes plain numpy fast enough.  It powers both levels of
+:func:`warpmatch.dpw.two_level_tables` (plain DTW of two element rows is
+``dpw`` on one-row matrices).  The tables are kept in full because
+:func:`dtw_path` backtracks through interior prefix values.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
-
-from .errors import ValidationError
-
-
-def _as_rows(row) -> np.ndarray:
-    arr = np.asarray(row, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValidationError("expected a nonempty sequence of feature elements")
-    return arr
 
 
 def accumulate_tables(vol: np.ndarray) -> np.ndarray:
@@ -54,32 +40,6 @@ def accumulate_tables(vol: np.ndarray) -> np.ndarray:
             cell = cur[j]
             cell += best
     return vol
-
-
-def dtw(row_a, row_b) -> tuple[float, np.ndarray]:
-    """Dynamic time warping distance between two element sequences.
-
-    Parameters
-    ----------
-    row_a, row_b : array-like
-        Sequences of feature elements, shape (n, C); 1-D input is treated
-        as a scalar sequence.
-
-    Returns
-    -------
-    (distance, table)
-        ``distance`` is the alignment cost; ``table`` is the full read-only
-        accumulated-cost matrix with ``table[i, j]`` the cost of aligning the
-        first i+1 elements of ``row_a`` with the first j+1 of ``row_b``.
-    """
-    a = _as_rows(row_a)
-    b = _as_rows(row_b)
-    if a.shape[1] != b.shape[1]:
-        raise ValidationError(f"channel mismatch: {a.shape[1]} vs {b.shape[1]}")
-    vol = cdist(a, b)[:, :, None]
-    table = accumulate_tables(vol)[:, :, 0]
-    table.flags.writeable = False
-    return float(table[-1, -1]), table
 
 
 def dtw_path(table: np.ndarray) -> list[tuple[int, int]]:

@@ -10,6 +10,7 @@ matrices.
 from __future__ import annotations
 
 import io
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +40,14 @@ def as_feature_array(m) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValidationError("feature matrix contains non-finite values")
     return arr
+
+
+def _as_index(value) -> int:
+    """``value`` as an int; integers pass (numpy's too), floats, strings and arrays do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"index must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

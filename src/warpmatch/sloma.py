@@ -18,7 +18,7 @@ import numpy as np
 from .adapter import AdapterParams, TrainConfig, adapt_matrix, param_delta, train_on_pairs
 from .dpw import dpw, optimal_hipa
 from .errors import ValidationError
-from .matrix import as_feature_array
+from .matrix import _as_index, as_feature_array
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class MatchedPairSet:
     pairs: tuple
 
     def __post_init__(self):
-        pairs = tuple((int(k), int(l)) for k, l in self.pairs)
+        pairs = tuple((_as_index(k), _as_index(l)) for k, l in self.pairs)
         emerging = [l for _, l in pairs]
         if len(set(emerging)) != len(emerging):
             raise ValidationError("emerging indices in a pair set must be distinct")

@@ -1,14 +1,15 @@
 """Independent oracles shared by the unit and acceptance tests.
 
 Everything here is deliberately written without the library's DP kernels
-and its fused training loop: recursive path enumeration, pure-Python sums,
-finite differences, the per-array adapter training loop, and the synthetic
-field upsampled one channel at a time.  The one exception is
+and its fused training loop: recursive path enumeration, a pure-Python DTW,
+pure-Python sums, finite differences, the per-array adapter training loop,
+and the synthetic field upsampled one channel at a time.  The one exception is
 ``training_loss_and_gradients``: it runs the training loop's own forward
 and backward pass on one batch, so that finite differences can check it.
 """
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -92,6 +93,19 @@ def brute_min_row_cost(row_a, row_b):
         if best is None or c < best:
             best = c
     return best
+
+
+def dtw_distance(a, b):
+    """DTW distance of two (n, C) element sequences: a pure-Python DP over
+    ``math.dist`` element costs, with none of the library's kernel."""
+    a = [tuple(map(float, x)) for x in a]
+    b = [tuple(map(float, y)) for y in b]
+    acc = [[math.inf] * (len(b) + 1) for _ in range(len(a) + 1)]
+    acc[0][0] = 0.0
+    for i, x in enumerate(a, 1):
+        for j, y in enumerate(b, 1):
+            acc[i][j] = min(acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1]) + math.dist(x, y)
+    return acc[-1][-1]
 
 
 def brute_dpw_min(a, b):

@@ -15,8 +15,7 @@ import warpmatch
 from warpmatch import (Dataset, FeatureMatrix, SwimConfig, SynthConfig, TrainConfig, evaluate,
                        gen_task, init_adapter, save_adapter, save_dataset, save_matrix, swim)
 from warpmatch.adapter import CKPT_MAGIC
-from warpmatch.cli import (_SCHEMA, _swim_config, _synth_config, load_run_config, main,
-                           resolved_config_lines)
+from warpmatch.cli import _SCHEMA, _run_configs, load_run_config, main, resolved_config_lines
 from warpmatch.errors import FormatError, ValidationError
 from warpmatch.toy import TOY_E, TOY_S
 
@@ -65,8 +64,7 @@ class TestRunConfig:
 
     def test_defaults_equal_library_defaults(self):
         cfg = load_run_config(None)
-        assert _swim_config(cfg) == SwimConfig()
-        assert _synth_config(cfg) == SynthConfig()
+        assert _run_configs(cfg) == (SwimConfig(), SynthConfig())
 
     def test_non_utf8_file_rejected(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -105,7 +103,8 @@ class TestConfigKeys:
         text, value = non_default(f)
         assert value != f.default
         cfg = load_run_config(None, overrides=[f"{f.name}={text}"])
-        built = _synth_config(cfg) if cls is SynthConfig else _swim_config(cfg)
+        swim_cfg, synth_cfg = _run_configs(cfg)
+        built = synth_cfg if cls is SynthConfig else swim_cfg
         target = built.train if cls is TrainConfig else built
         assert getattr(target, f.name) == value
 
@@ -462,6 +461,26 @@ class TestMatchRun:
         report = dict(line.split(",") for line in (out / "report.csv").read_text().splitlines())
         last = (out / "trace.csv").read_text().splitlines()[-1].split(",")
         assert last[2:] == [report["top1"], report["top5"]]
+
+
+@pytest.mark.parametrize("command, settings, message", [
+    ("synth gen", ("alpha=0",), "alpha must be >= 1"),
+    ("match run", ("warp=2", "map_kind=bogus", "n_classes=1"), "need at least 2 classes"),
+    ("eval topk", ("noise_std=-1",), "noise_std must be nonnegative and finite"),
+], ids=["synth_gen", "match_run", "eval_topk"])
+def test_every_logged_key_is_checked(small_task, tmp_path, capsys, command, settings, message):
+    """A command checks the keys it does not use too, so every config.resolved
+    it writes is one that all the configured commands accept."""
+    out = tmp_path / "out"
+    sets = [arg for s in settings for arg in ("--set", s)]
+    adapter = tmp_path / "adapter.lfa"
+    save_adapter(init_adapter(3, 4, seed=0), adapter)
+    argv = {"synth gen": ["synth", "gen", "--outdir", str(out), *sets],
+            "match run": run_args(small_task, out, sets),
+            "eval topk": eval_args(small_task, adapter, out, sets)}[command]
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["config.resolved"]
 
 
 class TestModuleInvocation:

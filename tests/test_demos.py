@@ -1,9 +1,10 @@
 """The demos stay runnable: their imports are public, the keywords they pass
-to them exist, and the quick one runs."""
+to them exist, and the quick one runs.  So do the README's Python blocks."""
 
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ import pytest
 
 import warpmatch
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def warpmatch_imports(path):
@@ -48,3 +50,13 @@ def test_alignment_toy_demo_runs():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert "alignment distance    : 654" in proc.stdout
+
+
+def test_readme_python_blocks_run(capsys):
+    readme = ROOT / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})
+    assert "1118.0" in capsys.readouterr().out.splitlines()

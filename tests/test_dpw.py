@@ -1,3 +1,4 @@
+import itertools
 from importlib import import_module
 
 import numpy as np
@@ -7,7 +8,6 @@ from scipy.spatial.distance import cdist
 from warpmatch import (
     ValidationError,
     dpw,
-    dtw,
     optimal_hipa,
     path_cost,
     validate_hipa,
@@ -18,7 +18,8 @@ from warpmatch.dpw import HiPa, PathNode, column_rows, two_level_tables
 dpw_module = import_module("warpmatch.dpw")
 
 
-from oracles import brute_dpw_min, enum_paths_rec, enumerate_hipas, lattice_paths
+from oracles import (brute_dpw_min, dtw_distance, enum_paths_rec, enumerate_hipas,
+                     lattice_paths)
 
 
 def count_paths_rec(n, m, _memo={}):
@@ -39,6 +40,33 @@ def random_case(rng, max_dim=3):
     a = np.round(rng.uniform(0, 10, (hs, ws)), 3)
     b = np.round(rng.uniform(0, 10, (he, we)), 3)
     return a, b
+
+
+def path_key(nodes):
+    return tuple((n.hs, n.he, n.cols) for n in nodes)
+
+
+SHIFTS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def one_edit_away(nodes):
+    """Row-node lists one edit away from ``nodes``: a row node or element pair
+    dropped, duplicated or shifted by one, or an element pair added after one."""
+    def edits(seq, shift):
+        for k, item in enumerate(seq):
+            yield seq[:k] + seq[k + 1:]
+            yield seq[:k + 1] + seq[k:]
+            for d in SHIFTS:
+                yield seq[:k] + [shift(item, d)] + seq[k + 1:]
+
+    yield from edits(nodes, lambda n, d: PathNode(n.hs + d[0], n.he + d[1], n.cols))
+    for k, node in enumerate(nodes):
+        cols = list(node.cols)
+        added = (cols[:j + 1] + [(w + dw, v + dv)] + cols[j + 1:]
+                 for j, (w, v) in enumerate(cols) for dw, dv in ((1, 0), (0, 1), (1, 1)))
+        for edited in itertools.chain(edits(cols, lambda c, d: (c[0] + d[0], c[1] + d[1])),
+                                      added):
+            yield nodes[:k] + [PathNode(node.hs, node.he, edited)] + nodes[k + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +121,7 @@ class TestDpwDistance:
             w1, w2, c = rng.integers(1, 6), rng.integers(1, 6), rng.integers(1, 4)
             a = rng.uniform(0, 5, (1, w1, c))
             b = rng.uniform(0, 5, (1, w2, c))
-            assert abs(dpw(a, b)[0] - dtw(a[0], b[0])[0]) <= 1e-12
+            assert abs(dpw(a, b)[0] - dtw_distance(a[0], b[0])) <= 1e-12
 
     def test_reduces_to_dtw_for_single_column(self):
         rng = np.random.default_rng(9)
@@ -103,7 +131,7 @@ class TestDpwDistance:
             b = rng.uniform(0, 5, (h2, 1, c))
             cols_a = a[:, 0, :]
             cols_b = b[:, 0, :]
-            assert abs(dpw(a, b)[0] - dtw(cols_a, cols_b)[0]) <= 1e-12
+            assert abs(dpw(a, b)[0] - dtw_distance(cols_a, cols_b)) <= 1e-12
 
     def test_row_tables_match_individual_dtw(self):
         rng = np.random.default_rng(11)
@@ -112,8 +140,8 @@ class TestDpwDistance:
         _, tables = dpw(a, b)
         for h in range(3):
             for e in range(2):
-                _, table = dtw(a[h], b[e])
-                assert np.array_equal(tables.row_table(h, e), table)
+                _, row_pair = dpw(a[h:h + 1], b[e:e + 1])
+                assert np.array_equal(tables.row_table(h, e), row_pair.row_table(0, 0))
 
 
 class TestTwoLevelTables:
@@ -187,6 +215,20 @@ class TestOptimalHipa:
                 assert path_cost(a, b, hipa) >= d - 1e-9
 
 
+class TestPathNode:
+    @pytest.mark.parametrize("hs, he, cols", [
+        (1, 1, ((1.5, 1),)), (1, 1, ((1, "2"),)), (1.0, 1, ((1, 1),)),
+        (1, "1", ((1, 1),)), (np.array([1]), 1, ((1, 1),))])
+    def test_non_integer_index_rejected(self, hs, he, cols):
+        with pytest.raises(ValidationError, match="index must be an integer"):
+            PathNode(hs, he, cols)
+
+    def test_numpy_integers_become_ints(self):
+        node = PathNode(np.int64(2), np.intp(1), ((np.int32(1), np.uint8(1)),))
+        assert (node.hs, node.he, node.cols) == (2, 1, ((1, 1),))
+        assert all(type(i) is int for i in (node.hs, node.he, *node.cols[0]))
+
+
 class TestValidateHipa:
     def test_diagonal_is_ok(self):
         hipa = optimal_hipa(np.ones((2, 2)), np.ones((2, 2)))
@@ -211,6 +253,19 @@ class TestValidateHipa:
         ))
         issues = validate_hipa(bad, (1, 2), (1, 2))
         assert any("monotonicity" in v for v in issues)
+
+    @pytest.mark.parametrize("shape_s, shape_e", [
+        ((1, 1), (1, 1)), ((2, 2), (2, 2)), ((2, 1), (1, 3)),
+        ((1, 2), (3, 2)), ((3, 1), (2, 1)), ((2, 3), (2, 1))])
+    def test_accepts_exactly_the_enumerated_paths(self, shape_s, shape_e):
+        valid = {path_key(p.nodes) for p in enumerate_hipas(shape_s, shape_e)}
+        verdicts = set()
+        for hipa in enumerate_hipas(shape_s, shape_e):
+            for nodes in one_edit_away(list(hipa.nodes)):
+                ok = validate_hipa(HiPa(nodes), shape_s, shape_e) == []
+                assert ok == (path_key(nodes) in valid), nodes
+                verdicts.add(ok)
+        assert verdicts == ({True, False} if len(valid) > 1 else {False})
 
     def test_path_cost_raises_on_invalid(self):
         bad = HiPa((PathNode(1, 1, ((1, 1),)),))

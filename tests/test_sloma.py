@@ -33,6 +33,16 @@ class TestMatchedPairSet:
         ps = MatchedPairSet(((0, 1), (0, 2)))
         assert ps.n == 2
 
+    @pytest.mark.parametrize("pair", [(1.9, 0), ("2", 1), (0, np.array([1])), (0, 1.0)])
+    def test_non_integer_index_rejected(self, pair):
+        with pytest.raises(ValidationError, match="index must be an integer"):
+            MatchedPairSet((pair,))
+
+    def test_numpy_integers_become_ints(self):
+        ps = MatchedPairSet(((np.int64(3), np.uint8(1)),))
+        assert ps.pairs == ((3, 1),)
+        assert all(type(i) is int for i in ps.pairs[0])
+
 
 class TestElementPairs:
     def test_equals_per_node_gather(self):
