@@ -120,6 +120,8 @@ def _configured(args) -> tuple[int, SwimConfig, SynthConfig, Path]:
     _write_lines(outdir / "config.resolved", lines)
     for line in lines:
         print(f"# {line}", file=sys.stderr)
+    if cfg["topk"] < 1:
+        raise ValidationError("k must be >= 1")
     return (cfg["topk"], *_run_configs(cfg), outdir)
 
 

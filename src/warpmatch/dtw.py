@@ -1,16 +1,20 @@
 """The alignment DP kernel and its backtrack.
 
 :func:`accumulate_tables` is the only alignment DP in the library: it runs
-the DTW recurrence over a batch of problems at once and in place, which is
-what makes plain numpy fast enough.  It powers both levels of
-:func:`warpmatch.dpw.two_level_tables` (plain DTW of two element rows is
-``dpw`` on one-row matrices).  The tables are kept in full because
-:func:`dtw_path` backtracks through interior prefix values.
+the DTW recurrence over a batch of problems at once and in place, a whole
+anti-diagonal per numpy call, which is what makes plain numpy fast enough.
+It powers both levels of :func:`warpmatch.dpw.two_level_tables` (plain DTW
+of two element rows is ``dpw`` on one-row matrices).  The tables are kept in
+full because :func:`dtw_path` backtracks through interior prefix values.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ValidationError
+
+_BUDGET = 1 << 15  # about the most floats one interior numpy call touches
 
 
 def accumulate_tables(vol: np.ndarray) -> np.ndarray:
@@ -18,26 +22,35 @@ def accumulate_tables(vol: np.ndarray) -> np.ndarray:
 
     ``vol[i, j, ...]`` is the local cost of pairing position i with position
     j, one problem per index of the trailing axes; ``vol`` may be a strided
-    view.  It is overwritten with its tables and returned: they obey the
-    running-sum boundary cases and the interior recurrence
-    ``acc[i, j] = min(acc[i-1, j-1], acc[i-1, j], acc[i, j-1]) + vol[i, j]``.
-    Callers that only need the final costs read ``[-1, -1]``.
+    view whose first two axes merge (``strides[0] == m * strides[1]``).  It is
+    overwritten with its tables and returned: running sums on the boundary and
+    ``acc[i, j] = min(acc[i-1, j-1], acc[i-1, j], acc[i, j-1]) + vol[i, j]``
+    inside, so each anti-diagonal needs only the two before it.  Each numpy call
+    does one anti-diagonal of a strip of ``max(1, _BUDGET // problems)`` rows.
     """
     n, m = vol.shape[:2]
+    if min(n, m) > 1 and vol.strides[0] != m * vol.strides[1]:
+        raise ValueError(f"the first two axes of vol do not merge: strides {vol.strides}")
     for i in range(1, n):
         cell = vol[i, 0]
         cell += vol[i - 1, 0]
     for j in range(1, m):
         cell = vol[0, j]
         cell += vol[0, j - 1]
-    for i in range(1, n):
-        prev = vol[i - 1]
-        cur = vol[i]
-        for j in range(1, m):
-            best = np.minimum(prev[j - 1], prev[j])
-            np.minimum(best, cur[j - 1], out=best)
+    if min(n, m) < 2:
+        return vol
+    # Cell (i, j) is flat[i * m + j], so an anti-diagonal i + j = d is one slice of step m - 1.
+    flat = vol.reshape(n * m, *vol.shape[2:])
+    rows = max(1, _BUDGET // max(1, flat[0].size))
+    for top in range(1, n, rows):
+        bottom = min(top + rows, n) - 1
+        for d in range(top + 1, bottom + m):
+            k = d + max(top, d - m + 1) * (m - 1)
+            end = d + min(bottom, d - 1) * (m - 1) + 1
+            best = np.minimum(flat[k - m - 1:end - m - 1:m - 1], flat[k - m:end - m:m - 1])
+            np.minimum(best, flat[k - 1:end - 1:m - 1], out=best)
             # One view as input and output skips numpy's overlap check.
-            cell = cur[j]
+            cell = flat[k:end:m - 1]
             cell += best
     return vol
 
@@ -47,10 +60,12 @@ def dtw_path(table: np.ndarray) -> list[tuple[int, int]]:
 
     Returns 0-based (i, j) index pairs from (0, 0) to the last cell.  Ties
     prefer the diagonal predecessor, then stepping back in the first index,
-    then in the second.
+    then in the second.  A table not 2-D, empty or non-finite raises ValidationError.
     """
-    n, m = table.shape
-    i, j = n - 1, m - 1
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2 or not table.size or not np.isfinite(table).all():
+        raise ValidationError(f"table must be 2-D, nonempty and finite; got shape {table.shape}")
+    i, j = table.shape[0] - 1, table.shape[1] - 1
     path = [(i, j)]
     while i or j:
         if i == 0:

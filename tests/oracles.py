@@ -3,7 +3,8 @@
 Everything here is deliberately written without the library's DP kernels
 and its fused training loop: recursive path enumeration, a pure-Python DTW,
 pure-Python sums, finite differences, the per-array adapter training loop,
-and the synthetic field upsampled one channel at a time.  The one exception is
+the cell-by-cell DP kernel that the anti-diagonal one replaced, and the
+synthetic field upsampled one channel at a time.  The one exception is
 ``training_loss_and_gradients``: it runs the training loop's own forward
 and backward pass on one batch, so that finite differences can check it.
 """
@@ -106,6 +107,28 @@ def dtw_distance(a, b):
         for j, y in enumerate(b, 1):
             acc[i][j] = min(acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1]) + math.dist(x, y)
     return acc[-1][-1]
+
+
+def reference_accumulate_tables(vol):
+    """The DP kernel cell by cell in row order, three numpy calls per interior
+    cell; ``warpmatch.dtw.accumulate_tables`` must give its tables bit for bit."""
+    n, m = vol.shape[:2]
+    for i in range(1, n):
+        cell = vol[i, 0]
+        cell += vol[i - 1, 0]
+    for j in range(1, m):
+        cell = vol[0, j]
+        cell += vol[0, j - 1]
+    for i in range(1, n):
+        prev = vol[i - 1]
+        cur = vol[i]
+        for j in range(1, m):
+            best = np.minimum(prev[j - 1], prev[j])
+            np.minimum(best, cur[j - 1], out=best)
+            # One view as input and output skips numpy's overlap check.
+            cell = cur[j]
+            cell += best
+    return vol
 
 
 def brute_dpw_min(a, b):

@@ -467,7 +467,11 @@ class TestMatchRun:
     ("synth gen", ("alpha=0",), "alpha must be >= 1"),
     ("match run", ("warp=2", "map_kind=bogus", "n_classes=1"), "need at least 2 classes"),
     ("eval topk", ("noise_std=-1",), "noise_std must be nonnegative and finite"),
-], ids=["synth_gen", "match_run", "eval_topk"])
+    ("synth gen", ("topk=0",), "k must be >= 1"),
+    ("match run", ("topk=0",), "k must be >= 1"),
+    ("eval topk", ("topk=-2",), "k must be >= 1"),
+], ids=["synth_gen", "match_run", "eval_topk", "synth_gen_topk", "match_run_topk",
+        "eval_topk_topk"])
 def test_every_logged_key_is_checked(small_task, tmp_path, capsys, command, settings, message):
     """A command checks the keys it does not use too, so every config.resolved
     it writes is one that all the configured commands accept."""

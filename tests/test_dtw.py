@@ -1,10 +1,20 @@
-"""DTW of two element rows, which is dpw on one-row matrices, and its backtrack."""
+"""The DP kernel, DTW of two element rows (dpw on one-row matrices) and its backtrack."""
+
+from importlib import import_module
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.spatial.distance import cdist
 
-from warpmatch import dpw, dtw_path
+from oracles import reference_accumulate_tables
+from warpmatch import ValidationError, dpw, dtw_path
+from warpmatch.dpw import column_rows, two_level_tables
+from warpmatch.dtw import accumulate_tables
+
+# By import path: the package's `dpw` attribute is the function, not the module.
+dpw_module = import_module("warpmatch.dpw")
+dtw_module = import_module("warpmatch.dtw")
 
 
 def row_dtw(row_a, row_b):
@@ -128,3 +138,87 @@ class TestDtwPath:
             path = dtw_path(table)
             values = [table[i, j] for i, j in path]
             assert all(x <= y + 1e-12 for x, y in zip(values, values[1:]))
+
+    def test_list_table_same_path_as_array(self):
+        rng = np.random.default_rng(5)
+        _, table = row_dtw(rng.uniform(0, 9, (5, 2)), rng.uniform(0, 9, (4, 2)))
+        assert dtw_path(table.tolist()) == dtw_path(table)
+
+    def test_ties_keep_their_order(self):
+        # Every predecessor ties: diagonal first, then back in the first index.
+        assert dtw_path(np.zeros((3, 3))) == [(0, 0), (1, 1), (2, 2)]
+        assert dtw_path([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]) == [(0, 0), (1, 0), (2, 1)]
+
+    @pytest.mark.parametrize("table", [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(4),
+                                       np.zeros((2, 2, 2)), [[0.0, np.nan], [1.0, 2.0]],
+                                       [[0.0, 1.0], [np.inf, 2.0]]],
+                             ids=["empty_rows", "empty_cols", "1d", "3d", "nan", "inf"])
+    def test_bad_table_raises_validation_error(self, table):
+        with pytest.raises(ValidationError, match="2-D, nonempty and finite"):
+            dtw_path(table)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def assert_same_tables(vol):
+    """accumulate_tables and the cell-by-cell oracle agree bit for bit on ``vol``."""
+    want = reference_accumulate_tables(vol.copy())
+    got = accumulate_tables(vol)
+    assert np.array_equal(bits(got), bits(want))
+
+
+class TestAccumulateTables:
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 7, 4), (7, 3, 4), (10, 10, 5),
+                                       (14, 9, 2), (2, 9, 1), (9, 2, 1)])
+    @pytest.mark.parametrize("quantised", [False, True], ids=["random", "ties"])
+    def test_equals_cell_by_cell_oracle(self, shape, quantised):
+        rng = np.random.default_rng(list(shape))
+        vol = rng.uniform(0, 3, shape)
+        # Whole-number costs make many predecessors tie exactly.
+        assert_same_tables(np.round(vol) if quantised else vol)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 3), (1, 6, 3), (6, 1, 3), (1, 6, 2, 2)])
+    def test_one_row_or_column(self, shape):
+        assert_same_tables(np.random.default_rng(1).uniform(0, 3, shape))
+
+    @pytest.mark.parametrize("batch", [(5,), (3, 4)], ids=["one_axis", "two_axes"])
+    def test_trailing_batch_axes(self, batch):
+        assert_same_tables(np.random.default_rng(2).uniform(0, 3, (6, 8, *batch)))
+
+    @pytest.mark.parametrize("budget", [1, 2 * 12, 5 * 12], ids=["one_cell", "two_rows",
+                                                                  "five_rows"])
+    def test_budget_splits_diagonals(self, monkeypatch, budget):
+        monkeypatch.setattr(dtw_module, "_BUDGET", budget)
+        rng = np.random.default_rng(3)
+        assert_same_tables(rng.uniform(0, 3, (9, 11, 3, 4)))
+        assert_same_tables(np.round(rng.uniform(0, 3, (11, 9, 12))))
+
+    def test_strided_two_level_layout_in_place(self, monkeypatch):
+        """The row level accumulates in the cost block itself, as two_level_tables lays it out."""
+        monkeypatch.setattr(dpw_module, "_CONTIGUOUS_MAX", 0)
+        rng = np.random.default_rng(4)
+        (n_s, hs, ws), (n_e, he, we), c = (2, 3, 4), (3, 2, 5), 3
+        sources = rng.uniform(0, 5, (n_s, hs, ws, c))
+        targets = rng.uniform(0, 5, (n_e, he, we, c))
+        costs = cdist(targets.reshape(-1, c), column_rows(sources))
+        want = costs.copy()
+        vol = want.reshape(n_e * he, we, ws, n_s * hs).transpose(1, 2, 0, 3)
+        assert vol.strides[0] == ws * vol.strides[1] and not vol.flags.c_contiguous
+        reference_accumulate_tables(vol)
+        row_acc, hier_acc = two_level_tables(costs, n_s, (hs, ws), n_e, (he, we))
+        assert np.array_equal(bits(costs), bits(want))
+        assert np.shares_memory(row_acc, costs)
+        hier = vol[-1, -1].reshape(n_e, he, n_s, hs).transpose(3, 1, 2, 0).copy()
+        reference_accumulate_tables(hier.reshape(hs, he, -1))
+        assert np.array_equal(bits(hier_acc), bits(hier))
+
+    @pytest.mark.parametrize("make", [lambda v: v.transpose(1, 0, 2), lambda v: v[:, :5],
+                                      lambda v: v[::2]], ids=["transposed", "column_slice",
+                                                              "row_step"])
+    def test_unmergeable_axes_raise(self, make):
+        vol = make(np.ones((6, 8, 3)))
+        with pytest.raises(ValueError, match="do not merge"):
+            accumulate_tables(vol)
+        assert (vol == 1).all()
