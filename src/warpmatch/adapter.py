@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergenceError, FormatError, ValidationError
-from .matrix import FeatureMatrix, as_feature_array
+from .matrix import FeatureMatrix, _as_index, _int_fields, as_feature_array
 
 CKPT_MAGIC = b"LFA1"
 
@@ -58,6 +58,7 @@ class TrainConfig:
     lr_decay: float = 0.0
 
     def __post_init__(self):
+        _int_fields(self, "epochs", "batch_size")
         if not (0 < self.learning_rate < math.inf):
             raise ValidationError("learning_rate must be positive and finite")
         if self.epochs < 1:
@@ -82,6 +83,7 @@ class AdapterParams:
     pass_through: bool = False
 
     def __post_init__(self):
+        _int_fields(self, "seed", "train_calls", "opt_steps")
         layers = []
         prev = None
         for w, b in self.layers:
@@ -127,6 +129,8 @@ def init_adapter(channels: int, hidden: int, seed: int = 0,
     Weights are uniform in +-sqrt(6 / (fan_in + fan_out)), biases zero,
     drawn deterministically from the seed, which also seeds training.
     """
+    channels, hidden, seed = (_as_index(channels, "channels"), _as_index(hidden, "hidden"),
+                              _as_index(seed, "seed"))
     if channels < 1 or hidden < 1:
         raise ValidationError("channels and hidden size must be >= 1")
     if seed < 0:
@@ -307,9 +311,8 @@ def train_on_pairs(params: AdapterParams, pairs, cfg: TrainConfig,
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
 
             t += 1
-            lr_t = cfg.learning_rate
-            if cfg.lr_decay:
-                lr_t = cfg.learning_rate * np.exp(-cfg.lr_decay * (params.opt_steps + t - 1))
+            # At lr_decay 0 the factor is exp(-0.0) == 1.0, so lr_t is the rate exactly.
+            lr_t = cfg.learning_rate * np.exp(-cfg.lr_decay * (params.opt_steps + t - 1))
             mu_t = beta1 * (1.0 - 0.5 * 0.96 ** (t * sd))
             mu_next = beta1 * (1.0 - 0.5 * 0.96 ** ((t + 1) * sd))
             mu_product *= mu_t

@@ -175,10 +175,10 @@ def cmd_dpw_align(args) -> int:
     a = _load_any_matrix(args.matrix_a)
     b = _load_any_matrix(args.matrix_b)
     _, tables = dpw(a, b)
-    hipa = optimal_hipa(a, b, tables)
+    idx = optimal_hipa(a, b, tables).index_arrays()
     lines = ["hs,ws,he,we,cost"]
-    for (hs, ws, he, we), cost in zip(hipa.aligned_pairs(),
-                                      _pair_costs(a.data, b.data, hipa).tolist()):
+    for hs, ws, he, we, cost in zip(*((i + 1).tolist() for i in idx),
+                                    _pair_costs(a.data, b.data, *idx).tolist()):
         lines.append(f"{hs},{ws},{he},{we},{cost!r}")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

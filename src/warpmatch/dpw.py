@@ -12,6 +12,9 @@ the two-level path achieving it is recovered by backtracking the tables.
 
 Index convention: hierarchical path nodes carry 1-based indices in the
 data model; everything internal is 0-based and converted at the boundary.
+One private walk backtracks both levels and one flattener turns row nodes
+into four index arrays; the inner loop reads its training pairs from the
+walk directly, and :func:`optimal_hipa` wraps the same walk in a ``HiPa``.
 """
 
 from __future__ import annotations
@@ -45,7 +48,11 @@ class PathNode:
     def __post_init__(self):
         object.__setattr__(self, "hs", _as_index(self.hs))
         object.__setattr__(self, "he", _as_index(self.he))
-        object.__setattr__(self, "cols", tuple((_as_index(a), _as_index(b)) for a, b in self.cols))
+        try:
+            pairs = [(a, b) for a, b in self.cols]
+        except (TypeError, ValueError):
+            raise ValidationError("cols must be a sequence of (ws, we) index pairs") from None
+        object.__setattr__(self, "cols", tuple((_as_index(a), _as_index(b)) for a, b in pairs))
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,8 @@ class HiPa:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        if not all(isinstance(node, PathNode) for node in self.nodes):
+            raise ValidationError("HiPa nodes must be PathNode values")
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -65,16 +74,17 @@ class HiPa:
         """Total number of aligned element pairs."""
         return sum(len(node.cols) for node in self.nodes)
 
-    def aligned_pairs(self):
-        """Yield (hs, ws, he, we) tuples, 1-based, in path order."""
-        for node in self.nodes:
-            for ws, we in node.cols:
-                yield node.hs, ws, node.he, we
-
     def index_arrays(self) -> tuple:
-        """The aligned pairs as four 0-based intp arrays (hs, ws, he, we)."""
-        idx = np.array(list(self.aligned_pairs()), dtype=np.intp).reshape(-1, 4) - 1
-        return tuple(idx.T)
+        """The aligned pairs as four 0-based intp arrays (hs, ws, he, we), in path order."""
+        return _flatten(((node.hs, node.he, node.cols) for node in self.nodes), 1)
+
+
+def _flatten(nodes, base: int = 0) -> tuple:
+    """``(h, e, cols)`` row nodes with indices from ``base`` as four 0-based
+    intp arrays (hs, ws, he, we), one entry per element pair in path order."""
+    idx = np.array([(h, w, e, v) for h, e, cols in nodes for w, v in cols],
+                   dtype=np.intp).reshape(-1, 4) - base
+    return tuple(idx.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,11 +196,13 @@ def optimal_hipa(s, e, tables: DpwTables | None = None) -> HiPa:
     if tables.shape_s != (a.shape[0], a.shape[1]) or tables.shape_e != (b.shape[0], b.shape[1]):
         raise ValidationError("tables do not match the given matrices")
 
-    nodes = []
-    for h, e0 in dtw_path(tables.hier_acc):
-        cols = tuple((i + 1, j + 1) for i, j in dtw_path(tables.row_table(h, e0)))
-        nodes.append(PathNode(h + 1, e0 + 1, cols))
-    return HiPa(tuple(nodes))
+    return HiPa(tuple(PathNode(h + 1, e0 + 1, tuple((i + 1, j + 1) for i, j in cols))
+                      for h, e0, cols in _walk(tables)))
+
+
+def _walk(tables: DpwTables) -> list:
+    """The optimal two-level path as 0-based ``(h, e, element path)`` row nodes."""
+    return [(h, e, dtw_path(tables.row_table(h, e))) for h, e in dtw_path(tables.hier_acc)]
 
 
 def path_cost(s, e, hipa: HiPa) -> float:
@@ -204,12 +216,11 @@ def path_cost(s, e, hipa: HiPa) -> float:
     violations = validate_hipa(hipa, (a.shape[0], a.shape[1]), (b.shape[0], b.shape[1]))
     if violations:
         raise ValidationError(violations[0])
-    return float(_pair_costs(a, b, hipa).sum())
+    return float(_pair_costs(a, b, *hipa.index_arrays()).sum())
 
 
-def _pair_costs(a: np.ndarray, b: np.ndarray, hipa: HiPa) -> np.ndarray:
-    """Euclidean distance of every aligned element pair, in path order."""
-    hs, ws, he, we = hipa.index_arrays()
+def _pair_costs(a: np.ndarray, b: np.ndarray, hs, ws, he, we) -> np.ndarray:
+    """Euclidean distance of every aligned element pair, given as 0-based index arrays."""
     diff = a[hs, ws] - b[he, we]
     return np.sqrt((diff * diff).sum(axis=1))
 
@@ -222,6 +233,8 @@ def validate_hipa(hipa: HiPa, shape_s, shape_e) -> list[str]:
     (indices never decrease) and step size (unit steps only), plus plain
     index-range checks, for the row path and then each row node's element path.
     """
+    if not isinstance(hipa, HiPa):
+        raise ValidationError(f"expected a HiPa, got {type(hipa).__name__}")
     if not hipa.nodes:
         return ["boundary: path has no row nodes"]
     out = _lattice_violations([(node.hs, node.he) for node in hipa.nodes],

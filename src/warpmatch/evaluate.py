@@ -20,7 +20,7 @@ import numpy as np
 
 from .adapter import AdapterParams, adapt_matrix
 from .errors import ValidationError
-from .matrix import Dataset
+from .matrix import Dataset, _as_index
 from .swim import dpw_distance_matrix, rank_columns
 
 
@@ -52,6 +52,7 @@ def _check_datasets(seen: Dataset, emerging: Dataset, k: int, one_shape=False) -
     if seen.channels != emerging.channels:
         raise ValidationError(
             f"channel mismatch: {seen.channels} vs {emerging.channels}")
+    k = _as_index(k, "k")
     if k < 1:
         raise ValidationError("k must be >= 1")
     if one_shape:
@@ -74,10 +75,18 @@ def rank_report(dist, seen: Dataset, emerging: Dataset, k: int = 5) -> MatchRepo
     dataset size with a warning).
     """
     k = _check_datasets(seen, emerging, k)
-    dist = np.asarray(dist)
+    try:
+        dist = np.asarray(dist)
+    except ValueError:  # ragged nesting
+        raise ValidationError("distance matrix must be a numeric array") from None
+    if dist.dtype.kind not in "biuf":
+        raise ValidationError(f"distance matrix must be numeric, got dtype {dist.dtype}")
+    dist = dist.astype(np.float64, copy=False)
     if dist.shape != (seen.size, emerging.size):
         raise ValidationError(
             f"distance matrix shape {dist.shape} is not {(seen.size, emerging.size)}")
+    if not np.isfinite(dist).all():
+        raise ValidationError("distance matrix must be finite")
     order, top1, top5 = rank_columns(dist, seen.class_ids, emerging.class_ids)
     ids = np.asarray(seen.class_ids)[order[:k]].T.tolist()
     dists = np.take_along_axis(dist, order[:k], axis=0).T.tolist()

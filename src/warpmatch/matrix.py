@@ -42,12 +42,19 @@ def as_feature_array(m) -> np.ndarray:
     return arr
 
 
-def _as_index(value) -> int:
-    """``value`` as an int; integers pass (numpy's too), floats, strings and arrays do not."""
+def _as_index(value, name: str = "index") -> int:
+    """``value`` as an int; integers pass (numpy's too), floats, strings and arrays do not.
+    The error names ``value`` as ``name``."""
     try:
         return operator.index(value)
     except TypeError:
-        raise ValidationError(f"index must be an integer, got {value!r}") from None
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _int_fields(obj, *names) -> None:
+    """Pass each named field of the frozen dataclass ``obj`` through :func:`_as_index`."""
+    for name in names:
+        object.__setattr__(obj, name, _as_index(getattr(obj, name), name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +196,7 @@ class Dataset:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple((int(cid), m) for cid, m in self.entries)
+        entries = tuple((_as_index(cid, "class_id"), m) for cid, m in self.entries)
         seen_ids = set()
         channels = None
         for cid, m in entries:

@@ -6,6 +6,8 @@ adapter on the element pairs those alignments produce, and stops once the
 adapter weights move less than a threshold.  Because adaptation never
 moves elements, alignments computed on adapted matrices transfer directly
 to raw positions, so training inputs are always the raw emerging elements.
+The element pairs come straight off each alignment's tables: one backtrack
+walk, flattened to four index arrays, with no ``HiPa`` built in the loop.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adapter import AdapterParams, TrainConfig, adapt_matrix, param_delta, train_on_pairs
-from .dpw import dpw, optimal_hipa
+from .dpw import _flatten, _walk, dpw
 from .errors import ValidationError
 from .matrix import _as_index, as_feature_array
 
@@ -56,12 +58,6 @@ class SlomaStep:
     weight_delta: float
 
 
-def _element_pairs(seen_arr, raw_e_arr, hipa):
-    """Training arrays (raw emerging inputs, seen targets) along one path."""
-    hs, ws, he, we = hipa.index_arrays()
-    return raw_e_arr[he, we], seen_arr[hs, ws]
-
-
 def run_sloma(seen, emerging, pairs: MatchedPairSet, params0: AdapterParams,
               eps: float, cfg: TrainConfig, max_iters: int):
     """Alternate adapt / align / retrain until the weights settle.
@@ -91,6 +87,7 @@ def run_sloma(seen, emerging, pairs: MatchedPairSet, params0: AdapterParams,
         raise ValidationError("pair set must be nonempty")
     if not (0 < eps < math.inf):
         raise ValidationError("eps must be positive and finite")
+    max_iters = _as_index(max_iters, "max_iters")
     if max_iters < 0:
         raise ValidationError("max_iters must be >= 0")
     seen_arrs = [as_feature_array(m) for m in seen]
@@ -108,11 +105,10 @@ def run_sloma(seen, emerging, pairs: MatchedPairSet, params0: AdapterParams,
         for k, l in pairs:
             ad = adapt_matrix(params, emerging_arrs[l])
             dist, tables = dpw(seen_arrs[k], ad)
-            hipa = optimal_hipa(seen_arrs[k], ad, tables)
             costs.append(dist)
-            x, y = _element_pairs(seen_arrs[k], emerging_arrs[l], hipa)
-            xs.append(x)
-            ys.append(y)
+            hs, ws, he, we = _flatten(_walk(tables))
+            xs.append(emerging_arrs[l][he, we])
+            ys.append(seen_arrs[k][hs, ws])
         params_next, loss = train_on_pairs(
             params, (np.concatenate(xs), np.concatenate(ys)), cfg)
         delta = param_delta(params_next, params)

@@ -27,7 +27,7 @@ from scipy.spatial.distance import cdist
 from .adapter import TrainConfig, adapt_matrix, init_adapter
 from .dpw import column_rows, two_level_tables
 from .errors import ValidationError
-from .matrix import as_feature_array
+from .matrix import _as_index, _int_fields, as_feature_array
 from .sloma import MatchedPairSet, run_sloma
 
 # Cap on the element-distance block of one distance-matrix chunk (float64
@@ -48,6 +48,7 @@ class SwimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _int_fields(self, "alpha", "hidden", "max_sloma_iters", "seed")
         if self.alpha < 1:
             raise ValidationError("alpha must be >= 1")
         if not (0 < self.eps < math.inf):
@@ -94,6 +95,7 @@ def dpw_distance_matrix(seen, emerging, workers: int = 1) -> np.ndarray:
     the first (numpy and ``cdist`` release the GIL); each thread reuses one
     cost block and fills disjoint cells.
     """
+    workers = _as_index(workers, "workers")
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     arrs_a = [as_feature_array(m) for m in seen]

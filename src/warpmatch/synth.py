@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .matrix import Dataset, FeatureMatrix
+from .matrix import Dataset, FeatureMatrix, _int_fields
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _int_fields(self, "n_classes", "height", "width", "channels", "n_components", "seed")
         if self.n_classes < 2:
             raise ValidationError("need at least 2 classes")
         if min(self.height, self.width, self.channels) < 1:

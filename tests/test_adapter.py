@@ -250,6 +250,33 @@ class TestTrainConfig:
         with pytest.raises(ValidationError, match=f"{name} must be"):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("epochs", [0, -2])
+    def test_nonpositive_epochs_rejected(self, epochs):
+        with pytest.raises(ValidationError, match="epochs must be positive"):
+            TrainConfig(epochs=epochs)
+
+
+class TestAdapterParamsChecks:
+    @pytest.mark.parametrize("layers, message", [
+        (((np.zeros(3), np.zeros(3)),), r"each layer needs a \(n_in, n_out\) weight"),
+        (((np.zeros((3, 3)), np.zeros(2)),), r"each layer needs a \(n_in, n_out\) weight"),
+        (((np.zeros((2, 3)), np.zeros(3)), (np.zeros((4, 2)), np.zeros(2))),
+         "layer dimensions do not chain"),
+        (((np.full((2, 2), np.nan), np.zeros(2)),), "adapter weights must be finite"),
+        (((np.zeros((2, 2)), np.array([0.0, np.inf])),), "adapter weights must be finite"),
+        ((), "adapter needs at least one layer"),
+    ], ids=["1d_weight", "bias_size", "no_chain", "nan_weight", "inf_bias", "no_layers"])
+    def test_bad_layers_rejected(self, layers, message):
+        with pytest.raises(ValidationError, match=message):
+            AdapterParams(layers)
+
+    def test_train_on_pairs_shape_checks(self):
+        p = init_adapter(2, 4, seed=0)
+        with pytest.raises(ValidationError, match=r"input/target shape mismatch: \(4, 2\) vs \(3, 2\)"):
+            train_on_pairs(p, (np.zeros((4, 2)), np.zeros((3, 2))), TrainConfig(epochs=1))
+        with pytest.raises(ValidationError, match="pair dimension mismatch: 3 vs 2"):
+            train_on_pairs(p, (np.zeros((4, 3)), np.zeros((4, 3))), TrainConfig(epochs=1))
+
 
 def adapter_with_layers(n_layers):
     """C=4 adapter with 1, 2 or 3 layers; random nonzero biases."""
@@ -359,6 +386,10 @@ class TestParamDelta:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             param_delta(init_adapter(3, 5), init_adapter(3, 6))
+
+    def test_layer_count_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="parameter shapes differ"):
+            param_delta(adapter_with_layers(1), adapter_with_layers(2))
 
 
 class TestCheckpoint:

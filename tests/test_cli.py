@@ -62,6 +62,11 @@ class TestRunConfig:
             with pytest.raises(ValidationError, match=f"bad value '{value}' for key '{key}'"):
                 load_run_config(None, overrides=[setting])
 
+    @pytest.mark.parametrize("override", ["", "   ", "# alpha=2"])
+    def test_empty_or_comment_override_rejected(self, override):
+        with pytest.raises(ValidationError, match=f"--set {override!r}: expected 'key=value'"):
+            load_run_config(None, overrides=[override])
+
     def test_defaults_equal_library_defaults(self):
         cfg = load_run_config(None)
         assert _run_configs(cfg) == (SwimConfig(), SynthConfig())

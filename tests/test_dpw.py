@@ -204,7 +204,26 @@ class TestOptimalHipa:
         hipa = optimal_hipa(rng.uniform(0, 5, (3, 4, 2)), rng.uniform(0, 5, (2, 3, 2)))
         idx = hipa.index_arrays()
         assert all(i.dtype == np.intp for i in idx)
-        assert list(zip(*(i + 1 for i in idx))) == list(hipa.aligned_pairs())
+        expected = [(node.hs - 1, ws - 1, node.he - 1, we - 1)
+                    for node in hipa.nodes for ws, we in node.cols]
+        assert list(zip(*(i.tolist() for i in idx))) == expected
+        assert len(expected) == hipa.n_aligned
+
+    def test_tables_of_other_matrices_rejected(self):
+        rng = np.random.default_rng(18)
+        a, b = rng.uniform(0, 1, (3, 4, 2)), rng.uniform(0, 1, (2, 3, 2))
+        _, tables = dpw(a, b)
+        for s, e in ((b, a), (a, b[:, :2]), (a[:2], b)):
+            with pytest.raises(ValidationError, match="tables do not match the given matrices"):
+                optimal_hipa(s, e, tables)
+
+    def test_overflowing_tables_raise(self):
+        """Element distances that overflow make an infinite table; the
+        backtrack's finite check is what turns that into a ValidationError."""
+        a = np.full((2, 2, 1), 1e200)
+        assert dpw(a, -a)[0] == np.inf
+        with pytest.raises(ValidationError, match="nonempty and finite"):
+            optimal_hipa(a, -a)
 
     def test_cost_never_below_distance_on_sampled_paths(self):
         rng = np.random.default_rng(14)
@@ -222,6 +241,16 @@ class TestPathNode:
     def test_non_integer_index_rejected(self, hs, he, cols):
         with pytest.raises(ValidationError, match="index must be an integer"):
             PathNode(hs, he, cols)
+
+    @pytest.mark.parametrize("cols", [5, None, ((1,),), ((1, 2, 3),), ((1, 1), 7), [[1]]],
+                             ids=str)
+    def test_cols_must_be_index_pairs(self, cols):
+        with pytest.raises(ValidationError, match=r"cols must be a sequence of \(ws, we\) index pairs"):
+            PathNode(1, 1, cols)
+
+    def test_cols_accept_any_pair_sequence(self):
+        node = PathNode(1, 2, [[1, 1], np.array([2, 3])])
+        assert node.cols == ((1, 1), (2, 3))
 
     def test_numpy_integers_become_ints(self):
         node = PathNode(np.int64(2), np.intp(1), ((np.int32(1), np.uint8(1)),))
@@ -266,6 +295,17 @@ class TestValidateHipa:
                 assert ok == (path_key(nodes) in valid), nodes
                 verdicts.add(ok)
         assert verdicts == ({True, False} if len(valid) > 1 else {False})
+
+    @pytest.mark.parametrize("hipa", ["x", None, ((1, 1, ((1, 1),)),)], ids=str)
+    def test_non_hipa_rejected(self, hipa):
+        with pytest.raises(ValidationError, match="expected a HiPa, got"):
+            validate_hipa(hipa, (1, 1), (1, 1))
+        with pytest.raises(ValidationError, match="expected a HiPa, got"):
+            path_cost(np.ones((1, 1)), np.ones((1, 1)), hipa)
+
+    def test_nodes_must_be_path_nodes(self):
+        with pytest.raises(ValidationError, match="HiPa nodes must be PathNode values"):
+            HiPa(((1, 1, ((1, 1),)),))
 
     def test_path_cost_raises_on_invalid(self):
         bad = HiPa((PathNode(1, 1, ((1, 1),)),))

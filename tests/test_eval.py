@@ -113,6 +113,44 @@ class TestRankReport:
             with pytest.raises(ValidationError, match="distance matrix shape"):
                 rank_report(bad, seen, emerging, k=3)
 
+    @pytest.mark.parametrize("entries", [[(0, 0)], [(0, 1), (2, 2)], "all"], ids=str)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_distance_rejected(self, entries, value):
+        seen, emerging = random_task(51, n=3)
+        dist = np.ones((3, 3))
+        for i, j in (np.ndindex(3, 3) if entries == "all" else entries):
+            dist[i, j] = value
+        with pytest.raises(ValidationError, match="distance matrix must be finite"):
+            rank_report(dist, seen, emerging, k=3)
+
+    @pytest.mark.parametrize("dist", [[["a"] * 3] * 3, [[None] * 3] * 3,
+                                      np.ones((3, 3), dtype=complex)], ids=["str", "none", "complex"])
+    def test_non_numeric_distance_rejected(self, dist):
+        seen, emerging = random_task(52, n=3)
+        with pytest.raises(ValidationError, match="distance matrix must be numeric"):
+            rank_report(dist, seen, emerging, k=3)
+
+    def test_ragged_distance_rejected(self):
+        seen, emerging = random_task(52, n=3)
+        with pytest.raises(ValidationError, match="distance matrix must be a numeric array"):
+            rank_report([[1.0, 2.0, 3.0], [1.0], [2.0, 3.0]], seen, emerging, k=3)
+
+    def test_integer_distances_rank_as_floats(self):
+        seen, emerging = random_task(53, n=3)
+        dist = [[3, 1, 2], [1, 2, 3], [2, 3, 1]]
+        report = rank_report(dist, seen, emerging, k=2)
+        assert report == rank_report(np.array(dist, dtype=float), seen, emerging, k=2)
+        assert json.loads(report_json(report))["items"][0]["ranked"][0]["distance"] == 1.0
+
+    def test_dataset_checks(self):
+        seen, emerging = random_task(54, n=3)
+        wide = make_dataset("emerging", [np.ones((3, 4, 3))] * 3)
+        with pytest.raises(ValidationError, match="channel mismatch: 2 vs 3"):
+            rank_report(np.ones((3, 3)), seen, wide, k=3)
+        for k in (0, -1):
+            with pytest.raises(ValidationError, match="k must be >= 1"):
+                rank_report(np.ones((3, 3)), seen, emerging, k=k)
+
 
 class TestKnnBaseline:
     def test_self_match_is_perfect(self):

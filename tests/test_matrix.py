@@ -29,6 +29,11 @@ class TestFeatureMatrix:
         with pytest.raises(ValidationError):
             FeatureMatrix(bad)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2, 1), ()], ids=str)
+    def test_rejects_wrong_ndim(self, shape):
+        with pytest.raises(ValidationError, match=r"expected \(H, W, C\) feature data, got shape"):
+            FeatureMatrix(np.zeros(shape))
+
     def test_immutable(self):
         m = FeatureMatrix(np.ones((2, 2, 2)))
         with pytest.raises(ValueError):
@@ -98,6 +103,13 @@ class TestCsvLoader:
         with pytest.raises(FormatError):
             load_matrix_csv(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        p = tmp_path / "m.csv"
+        p.write_text(f"1,2\n3,{value}\n")
+        with pytest.raises(FormatError, match="m.csv: non-finite value in CSV data"):
+            load_matrix_csv(p)
+
     def test_non_utf8_byte_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_bytes(b"1,2\n3,\xff\n")
@@ -123,6 +135,21 @@ class TestDataset:
         ds = load_dataset(p)
         assert ds.class_ids == (7, 3, 5)
         assert ds.name == "seen"
+
+    @pytest.mark.parametrize("value", [np.ones((2, 2)), "m.fmx", None], ids=["array", "str", "none"])
+    def test_entry_must_be_feature_matrix(self, value):
+        with pytest.raises(ValidationError, match="dataset entries must hold FeatureMatrix values"):
+            Dataset("seen", ((0, FeatureMatrix(np.ones((2, 2)))), (1, value)))
+
+    @pytest.mark.parametrize("cid", [1.5, 2.0, "3", None], ids=repr)
+    def test_non_integer_class_id_rejected(self, cid):
+        with pytest.raises(ValidationError, match="class_id must be an integer, got"):
+            Dataset("seen", ((cid, FeatureMatrix(np.ones((2, 2)))),))
+
+    def test_numpy_class_ids_become_ints(self):
+        m = FeatureMatrix(np.ones((2, 2)))
+        ds = Dataset("seen", ((np.int64(7), m), (np.uint8(3), m)))
+        assert ds.class_ids == (7, 3) and all(type(c) is int for c in ds.class_ids)
 
     def test_duplicate_class_id_rejected(self, tmp_path):
         save_matrix(np.ones((1, 1)), tmp_path / "a.fmx")

@@ -13,8 +13,7 @@ from warpmatch import (
     param_delta,
     run_sloma,
 )
-from warpmatch.dpw import optimal_hipa
-from warpmatch.sloma import _element_pairs
+from warpmatch.dpw import PathNode, _flatten, _walk, dpw, optimal_hipa
 from warpmatch.swim import dpw_distance_matrix
 
 from oracles import element_pairs_per_node
@@ -52,10 +51,12 @@ class TestElementPairs:
             c = int(rng.integers(1, 5))
             seen = rng.uniform(0, 5, (hs, ws, c))
             emerging = rng.uniform(0, 5, (he, we, c))
-            hipa = optimal_hipa(seen, emerging)
-            x, y = _element_pairs(seen, emerging, hipa)
-            x_ref, y_ref = element_pairs_per_node(seen, emerging, hipa)
-            assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
+            _, tables = dpw(seen, emerging)
+            hs, ws, he, we = _flatten(_walk(tables))
+            x_ref, y_ref = element_pairs_per_node(
+                seen, emerging, optimal_hipa(seen, emerging, tables))
+            assert np.array_equal(emerging[he, we], x_ref)
+            assert np.array_equal(seen[hs, ws], y_ref)
 
 
 class TestRunSloma:
@@ -98,6 +99,14 @@ class TestRunSloma:
             run_sloma(mats, mats, identity_pairs(1), init_adapter(2, 4),
                       eps=eps, cfg=TrainConfig(), max_iters=1)
 
+    @pytest.mark.parametrize("pair", [(0, 2), (3, 0), (-1, 0)])
+    def test_pair_out_of_range_rejected(self, pair):
+        rng = np.random.default_rng(2)
+        mats = [FeatureMatrix(rng.uniform(0, 1, (2, 2, 2))) for _ in range(2)]
+        with pytest.raises(ValidationError, match=f"pair \\({pair[0]},{pair[1]}\\) out of range"):
+            run_sloma(mats, mats[:2], MatchedPairSet((pair,)), init_adapter(2, 4),
+                      eps=1e-3, cfg=TrainConfig(), max_iters=1)
+
     def test_negative_max_iters_rejected(self):
         rng = np.random.default_rng(2)
         mats = [FeatureMatrix(rng.uniform(0, 1, (2, 2, 2)))]
@@ -136,6 +145,24 @@ class TestRunSloma:
         for m in emerging:
             assert adapt_matrix(params, m).shape == m.shape
 
+    def test_builds_no_path_objects(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the inner loop built a PathNode")
+
+        monkeypatch.setattr(PathNode, "__post_init__", refuse)
+        rng = np.random.default_rng(3)
+        mats = [FeatureMatrix(rng.uniform(0.2, 0.8, (3, 4, 2))) for _ in range(2)]
+        _, steps = run_sloma(mats, mats[::-1], identity_pairs(2), init_adapter(2, 4, seed=1),
+                             eps=1e-12, cfg=TrainConfig(epochs=2), max_iters=3)
+        assert len(steps) == 3
+
+    def test_overflowing_alignment_raises(self):
+        a = FeatureMatrix(np.full((2, 2, 1), 1e200))
+        with pytest.raises(ValidationError, match="nonempty and finite"):
+            run_sloma([a], [FeatureMatrix(-a.data)], identity_pairs(1),
+                      init_adapter(1, 2, pass_through=True),
+                      eps=1e-3, cfg=TrainConfig(epochs=1), max_iters=1)
+
     def test_pass_through_flag_cleared_after_first_optimize(self):
         rng = np.random.default_rng(5)
         mats = [FeatureMatrix(rng.uniform(0.2, 0.8, (3, 3, 2))) for _ in range(2)]
@@ -147,7 +174,7 @@ class TestRunSloma:
         assert not params.pass_through
 
     def test_optimize_step_does_not_increase_fixed_path_objective(self):
-        from warpmatch import dpw, path_cost, train_on_pairs
+        from warpmatch import path_cost, train_on_pairs
 
         cfg = SynthConfig(n_classes=3, height=5, width=5, channels=3,
                           warp=0.0, map_kind="affine_sigmoid", map_gain=2.0,
@@ -160,9 +187,9 @@ class TestRunSloma:
             _, tables = dpw(s, adapt_matrix(params, e))
             hp = optimal_hipa(s, adapt_matrix(params, e), tables)
             hipas.append(hp)
-            x, y = _element_pairs(s.data, e.data, hp)
-            xs.append(x)
-            ys.append(y)
+            hs, ws, he, we = hp.index_arrays()
+            xs.append(e.data[he, we])
+            ys.append(s.data[hs, ws])
 
         def objective(p):
             return float(np.mean([

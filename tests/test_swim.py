@@ -130,6 +130,12 @@ class TestDistanceMatrix:
             for j in range(len(emerging)):
                 assert d[i, j] == dpw(seen[i], emerging[j])[0]
 
+    @pytest.mark.parametrize("n_seen, n_emerging", [(0, 2), (2, 0), (0, 0)])
+    def test_empty_set_rejected(self, n_seen, n_emerging):
+        m = np.ones((2, 2, 1))
+        with pytest.raises(ValidationError, match="distance matrix needs nonempty matrix sets"):
+            dpw_distance_matrix([m] * n_seen, [m] * n_emerging)
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_calling_thread_fills_first_part(self, monkeypatch, workers):
         """The caller runs every workers-th chunk and the pool the rest, so
@@ -195,6 +201,11 @@ class TestSwimConfig:
     def test_bad_eps_rejected(self, eps):
         with pytest.raises(ValidationError, match="eps must be positive and finite"):
             SwimConfig(eps=eps)
+
+    @pytest.mark.parametrize("hidden", [0, -4])
+    def test_nonpositive_hidden_rejected(self, hidden):
+        with pytest.raises(ValidationError, match="hidden size must be >= 1"):
+            SwimConfig(hidden=hidden)
 
 
 class TestRunSwim:

@@ -23,6 +23,20 @@ class TestConfig:
         with pytest.raises(ValidationError):
             SynthConfig(map_kind="rotation")
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"height": 0}, "matrix dimensions must be >= 1"),
+        ({"width": -1}, "matrix dimensions must be >= 1"),
+        ({"channels": 0}, "matrix dimensions must be >= 1"),
+        ({"n_components": -1}, "n_components must be nonnegative"),
+        ({"component_mix": -0.1}, r"component_mix must be in \[0, 1\]"),
+        ({"component_mix": 1.5}, r"component_mix must be in \[0, 1\]"),
+        ({"component_mix": math.nan}, r"component_mix must be in \[0, 1\]"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ], ids=str)
+    def test_rejects_out_of_range(self, setting, message):
+        with pytest.raises(ValidationError, match=message):
+            SynthConfig(**setting)
+
     @pytest.mark.parametrize("setting", [{"map_gain": math.inf}, {"map_gain": math.nan},
                                          {"noise_std": math.nan}], ids=str)
     def test_rejects_non_finite(self, setting):
