@@ -25,7 +25,6 @@ how the outer matching loop starts from an unadapted emerging modality.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -33,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergenceError, FormatError, ValidationError
-from .matrix import FeatureMatrix, _as_index, _int_fields, as_feature_array
+from .matrix import (FeatureMatrix, _as_float_array, _as_index, _as_pairs, _check_fields,
+                     _check_type, as_feature_array)
 
 CKPT_MAGIC = b"LFA1"
 
@@ -49,6 +49,9 @@ class TrainConfig:
     convergence threshold; adaptive-moment steps at a constant rate orbit
     the optimum at lr scale instead of settling.  ``dropout_p`` is the
     inverted-dropout rate of the hidden layers; 0 trains without dropout.
+
+    Checked on construction: ``learning_rate`` in (0, inf), ``epochs`` >= 1,
+    ``batch_size`` >= 0, ``dropout_p`` in [0, 1), ``lr_decay`` in [0, inf).
     """
 
     learning_rate: float = 1e-3
@@ -58,23 +61,15 @@ class TrainConfig:
     lr_decay: float = 0.0
 
     def __post_init__(self):
-        _int_fields(self, "epochs", "batch_size")
-        if not (0 < self.learning_rate < math.inf):
-            raise ValidationError("learning_rate must be positive and finite")
-        if self.epochs < 1:
-            raise ValidationError("epochs must be positive")
-        if self.batch_size < 0:
-            raise ValidationError("batch_size must be >= 0")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValidationError("dropout_p must be in [0, 1)")
-        if not (0 <= self.lr_decay < math.inf):
-            raise ValidationError("lr_decay must be nonnegative and finite")
+        _check_fields(self, learning_rate="(0, inf)", epochs=1, batch_size=0,
+                      dropout_p="[0, 1)", lr_decay="[0, inf)")
 
 
 @dataclass(frozen=True, eq=False)
 class AdapterParams:
     """Weights of the adapter: ((W, b), ...) per layer, sigmoid activations;
-    ``seed`` and ``train_calls`` seed its training stream."""
+    ``seed`` and ``train_calls`` seed its training stream.  ``seed``,
+    ``train_calls`` and ``opt_steps`` are checked to be >= 0."""
 
     layers: tuple
     seed: int = 0
@@ -83,12 +78,11 @@ class AdapterParams:
     pass_through: bool = False
 
     def __post_init__(self):
-        _int_fields(self, "seed", "train_calls", "opt_steps")
+        _check_fields(self, seed=0, train_calls=0, opt_steps=0)
         layers = []
         prev = None
-        for w, b in self.layers:
-            w = np.asarray(w, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
+        for w, b in _as_pairs(self.layers, "layers must be a sequence of (weight, bias) pairs"):
+            w, b = _as_float_array(w, "adapter weights"), _as_float_array(b, "adapter weights")
             if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[1]:
                 raise ValidationError("each layer needs a (n_in, n_out) weight and (n_out,) bias")
             if prev is not None and w.shape[0] != prev:
@@ -105,8 +99,6 @@ class AdapterParams:
             raise ValidationError("adapter needs at least one layer")
         if layers[0][0].shape[0] != layers[-1][0].shape[1]:
             raise ValidationError("adapter input and output dimensions must both equal C")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
         object.__setattr__(self, "layers", tuple(layers))
 
     @property
@@ -129,12 +121,8 @@ def init_adapter(channels: int, hidden: int, seed: int = 0,
     Weights are uniform in +-sqrt(6 / (fan_in + fan_out)), biases zero,
     drawn deterministically from the seed, which also seeds training.
     """
-    channels, hidden, seed = (_as_index(channels, "channels"), _as_index(hidden, "hidden"),
-                              _as_index(seed, "seed"))
-    if channels < 1 or hidden < 1:
-        raise ValidationError("channels and hidden size must be >= 1")
-    if seed < 0:
-        raise ValidationError("seed must be >= 0")
+    channels, hidden, seed = (_as_index(channels, "channels", 1), _as_index(hidden, "hidden", 1),
+                              _as_index(seed, "seed", 0))
     rng = np.random.default_rng(seed)
     layers = []
     for n_in, n_out in ((channels, hidden), (hidden, channels)):
@@ -270,6 +258,8 @@ def train_on_pairs(params: AdapterParams, pairs, cfg: TrainConfig,
     the momentum-schedule constant fixed at 0.004 and the learning-rate
     anneal on the cumulative ``opt_steps``.
     """
+    _check_type(params, AdapterParams, "params")
+    _check_type(cfg, TrainConfig, "cfg")
     if not (isinstance(pairs, tuple) and len(pairs) == 2
             and all(isinstance(a, np.ndarray) and a.ndim == 2 for a in pairs)):
         raise ValidationError("pairs must be a tuple (X, Y) of two (n, C) arrays")

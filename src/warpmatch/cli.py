@@ -26,7 +26,7 @@ from .dpw import _pair_costs, dpw, optimal_hipa
 from .errors import DivergenceError, FormatError, ValidationError
 from .evaluate import (_check_datasets, knn_baseline, match_topk, rank_report,
                        report_csv_lines, report_json)
-from .matrix import load_dataset, load_matrix, load_matrix_csv, save_dataset, text_lines
+from .matrix import _as_index, load_dataset, load_matrix, load_matrix_csv, save_dataset, text_lines
 from .swim import SwimConfig, run_swim
 from .synth import SynthConfig, gen_task
 
@@ -120,9 +120,7 @@ def _configured(args) -> tuple[int, SwimConfig, SynthConfig, Path]:
     _write_lines(outdir / "config.resolved", lines)
     for line in lines:
         print(f"# {line}", file=sys.stderr)
-    if cfg["topk"] < 1:
-        raise ValidationError("k must be >= 1")
-    return (cfg["topk"], *_run_configs(cfg), outdir)
+    return (_as_index(cfg["topk"], "k", 1), *_run_configs(cfg), outdir)
 
 
 def _load_datasets(args, k: int):

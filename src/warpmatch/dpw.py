@@ -26,7 +26,7 @@ from scipy.spatial.distance import cdist
 
 from .dtw import accumulate_tables, dtw_path
 from .errors import ValidationError
-from .matrix import _as_index, as_feature_array
+from .matrix import _as_index, _as_pairs, _check_type, as_feature_array
 
 _STEPS = ((1, 1), (1, 0), (0, 1))
 
@@ -48,10 +48,7 @@ class PathNode:
     def __post_init__(self):
         object.__setattr__(self, "hs", _as_index(self.hs))
         object.__setattr__(self, "he", _as_index(self.he))
-        try:
-            pairs = [(a, b) for a, b in self.cols]
-        except (TypeError, ValueError):
-            raise ValidationError("cols must be a sequence of (ws, we) index pairs") from None
+        pairs = _as_pairs(self.cols, "cols must be a sequence of (ws, we) index pairs")
         object.__setattr__(self, "cols", tuple((_as_index(a), _as_index(b)) for a, b in pairs))
 
 
@@ -193,6 +190,7 @@ def optimal_hipa(s, e, tables: DpwTables | None = None) -> HiPa:
     b = as_feature_array(e)
     if tables is None:
         _, tables = dpw(s, e)
+    _check_type(tables, DpwTables, "tables")
     if tables.shape_s != (a.shape[0], a.shape[1]) or tables.shape_e != (b.shape[0], b.shape[1]):
         raise ValidationError("tables do not match the given matrices")
 
@@ -233,17 +231,18 @@ def validate_hipa(hipa: HiPa, shape_s, shape_e) -> list[str]:
     (indices never decrease) and step size (unit steps only), plus plain
     index-range checks, for the row path and then each row node's element path.
     """
-    if not isinstance(hipa, HiPa):
-        raise ValidationError(f"expected a HiPa, got {type(hipa).__name__}")
+    _check_type(hipa, HiPa, "hipa")
+    (hs, ws), (he, we) = _as_pairs((shape_s, shape_e),
+                                   "shape_s and shape_e must be (rows, columns) pairs")
     if not hipa.nodes:
         return ["boundary: path has no row nodes"]
     out = _lattice_violations([(node.hs, node.he) for node in hipa.nodes],
-                              int(shape_s[0]), int(shape_e[0]), "row node {}")
+                              int(hs), int(he), "row node {}")
     for l, node in enumerate(hipa.nodes, 1):
         if not node.cols:
             out.append(f"boundary: row node {l} has no element pairs")
             continue
-        out += _lattice_violations(node.cols, int(shape_s[1]), int(shape_e[1]),
+        out += _lattice_violations(node.cols, int(ws), int(we),
                                    f"element node {{}} of row node {l}")
     return out
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
+from .matrix import _as_float_array
 
 _BUDGET = 1 << 15  # about the most floats one interior numpy call touches
 
@@ -21,13 +22,17 @@ def accumulate_tables(vol: np.ndarray) -> np.ndarray:
     """Accumulated-cost tables for a batch of alignment problems, in place.
 
     ``vol[i, j, ...]`` is the local cost of pairing position i with position
-    j, one problem per index of the trailing axes; ``vol`` may be a strided
-    view whose first two axes merge (``strides[0] == m * strides[1]``).  It is
-    overwritten with its tables and returned: running sums on the boundary and
+    j, one problem per index of the trailing axes (a 2-D ``vol`` is one
+    problem); ``vol`` may be a strided view whose first two axes merge
+    (``strides[0] == m * strides[1]``).  It is overwritten with its tables and
+    returned: running sums on the boundary and
     ``acc[i, j] = min(acc[i-1, j-1], acc[i-1, j], acc[i, j-1]) + vol[i, j]``
     inside, so each anti-diagonal needs only the two before it.  Each numpy call
     does one anti-diagonal of a strip of ``max(1, _BUDGET // problems)`` rows.
     """
+    if vol.ndim == 2:  # one problem: the loops below index its trailing axis
+        accumulate_tables(vol[:, :, None])
+        return vol
     n, m = vol.shape[:2]
     if min(n, m) > 1 and vol.strides[0] != m * vol.strides[1]:
         raise ValueError(f"the first two axes of vol do not merge: strides {vol.strides}")
@@ -62,7 +67,7 @@ def dtw_path(table: np.ndarray) -> list[tuple[int, int]]:
     prefer the diagonal predecessor, then stepping back in the first index,
     then in the second.  A table not 2-D, empty or non-finite raises ValidationError.
     """
-    table = np.asarray(table, dtype=np.float64)
+    table = _as_float_array(table, "table")
     if table.ndim != 2 or not table.size or not np.isfinite(table).all():
         raise ValidationError(f"table must be 2-D, nonempty and finite; got shape {table.shape}")
     i, j = table.shape[0] - 1, table.shape[1] - 1

@@ -20,7 +20,7 @@ import numpy as np
 
 from .adapter import AdapterParams, adapt_matrix
 from .errors import ValidationError
-from .matrix import Dataset, _as_index
+from .matrix import Dataset, _as_float_array, _as_index
 from .swim import dpw_distance_matrix, rank_columns
 
 
@@ -52,9 +52,7 @@ def _check_datasets(seen: Dataset, emerging: Dataset, k: int, one_shape=False) -
     if seen.channels != emerging.channels:
         raise ValidationError(
             f"channel mismatch: {seen.channels} vs {emerging.channels}")
-    k = _as_index(k, "k")
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    k = _as_index(k, "k", 1)
     if one_shape:
         shapes = {m.shape for m in seen.matrices} | {m.shape for m in emerging.matrices}
         if len(shapes) != 1:
@@ -75,13 +73,7 @@ def rank_report(dist, seen: Dataset, emerging: Dataset, k: int = 5) -> MatchRepo
     dataset size with a warning).
     """
     k = _check_datasets(seen, emerging, k)
-    try:
-        dist = np.asarray(dist)
-    except ValueError:  # ragged nesting
-        raise ValidationError("distance matrix must be a numeric array") from None
-    if dist.dtype.kind not in "biuf":
-        raise ValidationError(f"distance matrix must be numeric, got dtype {dist.dtype}")
-    dist = dist.astype(np.float64, copy=False)
+    dist = _as_float_array(dist, "distance matrix")
     if dist.shape != (seen.size, emerging.size):
         raise ValidationError(
             f"distance matrix shape {dist.shape} is not {(seen.size, emerging.size)}")

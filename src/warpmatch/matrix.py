@@ -10,6 +10,8 @@ matrices.
 from __future__ import annotations
 
 import io
+import math
+import numbers
 import operator
 import struct
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ def as_feature_array(m) -> np.ndarray:
     """
     if isinstance(m, FeatureMatrix):
         return m.data
-    arr = np.asarray(m, dtype=np.float64)
+    arr = _as_float_array(m, "feature matrix")
     if arr.ndim == 2:
         arr = arr[:, :, None]
     if arr.ndim != 3:
@@ -42,19 +44,68 @@ def as_feature_array(m) -> np.ndarray:
     return arr
 
 
-def _as_index(value, name: str = "index") -> int:
-    """``value`` as an int; integers pass (numpy's too), floats, strings and arrays do not.
-    The error names ``value`` as ``name``."""
+def _as_float_array(value, what: str) -> np.ndarray:
+    """``value`` as a float64 array; ragged nesting and any dtype but bool, int and
+    float (complex, strings, objects) raise ValidationError naming ``what``."""
     try:
-        return operator.index(value)
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raise ValidationError(f"{what} must be a numeric array") from None
+    if arr.dtype.kind not in "biuf":
+        raise ValidationError(f"{what} must be numeric, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
+def _as_pairs(items, what: str) -> list:
+    """``items`` as a list of 2-tuples; anything else raises ValidationError ``what``."""
+    try:
+        return [(a, b) for a, b in items]
+    except (TypeError, ValueError):
+        raise ValidationError(what) from None
+
+
+def _check_type(value, cls, name: str) -> None:
+    """Raise ValidationError naming ``name`` unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
+
+
+def _as_index(value, name: str = "index", low: int | None = None) -> int:
+    """``value`` as an int of at least ``low``; integers pass (numpy's too), floats,
+    strings and arrays do not.  The error names ``value`` as ``name``."""
+    try:
+        value = operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
-def _int_fields(obj, *names) -> None:
-    """Pass each named field of the frozen dataclass ``obj`` through :func:`_as_index`."""
-    for name in names:
-        object.__setattr__(obj, name, _as_index(getattr(obj, name), name))
+def _as_real(value, name: str, interval: str) -> float:
+    """``value`` as a float in ``interval``, written like ``"[0, 1)"`` with open
+    ends at infinity; ints and numpy reals pass, strings, None, arrays and
+    non-finite values do not.  The error names ``value`` as ``name``."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number in {interval}, got {value!r}")
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    try:
+        x = float(value)
+    except OverflowError:  # an int too large for a float
+        x = math.nan
+    if not ((lo <= x if interval[0] == "[" else lo < x)
+            and (x <= hi if interval[-1] == "]" else x < hi)):
+        raise ValidationError(f"{name} must be in {interval}, got {value!r}")
+    return x
+
+
+def _check_fields(obj, **rules) -> None:
+    """Pass each named field of the frozen dataclass ``obj`` through its rule, in
+    the order given, and store the result: an int is the minimum for
+    :func:`_as_index`, a str the interval for :func:`_as_real`."""
+    for name, rule in rules.items():
+        check = _as_real if isinstance(rule, str) else _as_index
+        object.__setattr__(obj, name, check(getattr(obj, name), name, rule))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +247,8 @@ class Dataset:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple((_as_index(cid, "class_id"), m) for cid, m in self.entries)
+        entries = tuple((_as_index(cid, "class_id"), m) for cid, m in _as_pairs(
+            self.entries, "dataset entries must be (class_id, FeatureMatrix) pairs"))
         seen_ids = set()
         channels = None
         for cid, m in entries:

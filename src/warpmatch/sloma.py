@@ -12,7 +12,6 @@ walk, flattened to four index arrays, with no ``HiPa`` built in the loop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .adapter import AdapterParams, TrainConfig, adapt_matrix, param_delta, train_on_pairs
 from .dpw import _flatten, _walk, dpw
 from .errors import ValidationError
-from .matrix import _as_index, as_feature_array
+from .matrix import _as_index, _as_pairs, _as_real, as_feature_array
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,8 @@ class MatchedPairSet:
     pairs: tuple
 
     def __post_init__(self):
-        pairs = tuple((_as_index(k), _as_index(l)) for k, l in self.pairs)
+        pairs = tuple((_as_index(k), _as_index(l)) for k, l in _as_pairs(
+            self.pairs, "pairs must be a sequence of (seen, emerging) index pairs"))
         emerging = [l for _, l in pairs]
         if len(set(emerging)) != len(emerging):
             raise ValidationError("emerging indices in a pair set must be distinct")
@@ -81,15 +81,12 @@ def run_sloma(seen, emerging, pairs: MatchedPairSet, params0: AdapterParams,
     -------
     (params, steps) : final adapter params and the per-iteration trace.
     """
-    if isinstance(pairs, (list, tuple)):
-        pairs = MatchedPairSet(tuple(pairs))
+    if not isinstance(pairs, MatchedPairSet):
+        pairs = MatchedPairSet(pairs)
     if pairs.n == 0:
         raise ValidationError("pair set must be nonempty")
-    if not (0 < eps < math.inf):
-        raise ValidationError("eps must be positive and finite")
-    max_iters = _as_index(max_iters, "max_iters")
-    if max_iters < 0:
-        raise ValidationError("max_iters must be >= 0")
+    eps = _as_real(eps, "eps", "(0, inf)")
+    max_iters = _as_index(max_iters, "max_iters", 0)
     seen_arrs = [as_feature_array(m) for m in seen]
     emerging_arrs = [as_feature_array(m) for m in emerging]
     for k, l in pairs:

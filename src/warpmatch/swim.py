@@ -27,7 +27,7 @@ from scipy.spatial.distance import cdist
 from .adapter import TrainConfig, adapt_matrix, init_adapter
 from .dpw import column_rows, two_level_tables
 from .errors import ValidationError
-from .matrix import _as_index, _int_fields, as_feature_array
+from .matrix import _as_index, _check_fields, _check_type, as_feature_array
 from .sloma import MatchedPairSet, run_sloma
 
 # Cap on the element-distance block of one distance-matrix chunk (float64
@@ -38,7 +38,11 @@ _CHUNK_BUDGET = 3_000_000
 
 @dataclass(frozen=True)
 class SwimConfig:
-    """Knobs of the outer loop."""
+    """Knobs of the outer loop.
+
+    Checked on construction: ``alpha``, ``hidden`` >= 1; ``max_sloma_iters``,
+    ``seed`` >= 0; ``eps`` in (0, inf); ``train`` a :class:`TrainConfig`.
+    """
 
     alpha: int = 1
     eps: float = 1e-3
@@ -48,17 +52,8 @@ class SwimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _int_fields(self, "alpha", "hidden", "max_sloma_iters", "seed")
-        if self.alpha < 1:
-            raise ValidationError("alpha must be >= 1")
-        if not (0 < self.eps < math.inf):
-            raise ValidationError("eps must be positive and finite")
-        if self.hidden < 1:
-            raise ValidationError("hidden size must be >= 1")
-        if self.max_sloma_iters < 0:
-            raise ValidationError("max_sloma_iters must be >= 0")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
+        _check_fields(self, alpha=1, eps="(0, inf)", hidden=1, max_sloma_iters=0, seed=0)
+        _check_type(self.train, TrainConfig, "train")
 
 
 @dataclass(frozen=True)
@@ -95,9 +90,7 @@ def dpw_distance_matrix(seen, emerging, workers: int = 1) -> np.ndarray:
     the first (numpy and ``cdist`` release the GIL); each thread reuses one
     cost block and fills disjoint cells.
     """
-    workers = _as_index(workers, "workers")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    workers = _as_index(workers, "workers", 1)
     arrs_a = [as_feature_array(m) for m in seen]
     arrs_b = [as_feature_array(m) for m in emerging]
     if not arrs_a or not arrs_b:
@@ -187,9 +180,13 @@ def run_swim(seen, emerging, cfg: SwimConfig, class_ids=None, workers: int = 1):
     if cfg.alpha > n_total:
         raise ValidationError(f"alpha {cfg.alpha} exceeds set size {n_total}")
     if class_ids is not None:
-        seen_ids, emerging_ids = class_ids
-        if not (len(seen_ids) == len(emerging_ids) == len(set(seen_ids)) == n_total
-                and set(emerging_ids) == set(seen_ids)):
+        try:
+            seen_ids, emerging_ids = class_ids
+            ok = (len(seen_ids) == len(emerging_ids) == len(set(seen_ids)) == n_total
+                  and set(emerging_ids) == set(seen_ids))
+        except (TypeError, ValueError):  # not a pair of id sequences
+            ok = False
+        if not ok:
             raise ValidationError(f"class_ids must be the same {n_total} unique ids on both sides")
     channels = as_feature_array(seen[0]).shape[2]
     params = init_adapter(channels, cfg.hidden, seed=cfg.seed, pass_through=True)

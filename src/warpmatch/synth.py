@@ -18,13 +18,12 @@ if it keeps that order and each element's arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .matrix import Dataset, FeatureMatrix, _int_fields
+from .matrix import Dataset, FeatureMatrix, _check_fields
 
 
 @dataclass(frozen=True)
@@ -35,6 +34,11 @@ class SynthConfig:
     many shared component fields, the way characters share strokes; classes
     become confusable and nearest-template matching actually has to work.
     0 keeps classes as independent random fields (easy to separate).
+
+    Checked on construction: ``n_classes`` >= 2; ``height``, ``width``,
+    ``channels`` >= 1; ``n_components``, ``seed`` >= 0; ``warp`` and
+    ``component_mix`` in [0, 1]; ``map_gain`` in (-inf, inf); ``noise_std`` in
+    [0, inf); ``map_kind`` "affine_sigmoid" or "identity".
     """
 
     n_classes: int = 20
@@ -50,25 +54,11 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _int_fields(self, "n_classes", "height", "width", "channels", "n_components", "seed")
-        if self.n_classes < 2:
-            raise ValidationError("need at least 2 classes")
-        if min(self.height, self.width, self.channels) < 1:
-            raise ValidationError("matrix dimensions must be >= 1")
-        if not 0.0 <= self.warp <= 1.0:
-            raise ValidationError("warp intensity must be in [0, 1]")
+        _check_fields(self, n_classes=2, height=1, width=1, channels=1, warp="[0, 1]",
+                      map_gain="(-inf, inf)", noise_std="[0, inf)", n_components=0,
+                      component_mix="[0, 1]", seed=0)
         if self.map_kind not in ("identity", "affine_sigmoid"):
             raise ValidationError(f"unknown map_kind {self.map_kind!r}")
-        if not math.isfinite(self.map_gain):
-            raise ValidationError("map_gain must be finite")
-        if not 0 <= self.noise_std < math.inf:
-            raise ValidationError("noise_std must be nonnegative and finite")
-        if self.n_components < 0:
-            raise ValidationError("n_components must be nonnegative")
-        if not 0.0 <= self.component_mix <= 1.0:
-            raise ValidationError("component_mix must be in [0, 1]")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
 
 
 def _smooth_field(h: int, w: int):

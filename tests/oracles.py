@@ -111,7 +111,11 @@ def dtw_distance(a, b):
 
 def reference_accumulate_tables(vol):
     """The DP kernel cell by cell in row order, three numpy calls per interior
-    cell; ``warpmatch.dtw.accumulate_tables`` must give its tables bit for bit."""
+    cell; ``warpmatch.dtw.accumulate_tables`` must give its tables bit for bit.
+
+    ``vol`` needs at least one trailing problem axis (ndim >= 3): each cell is
+    updated through a view of it, which a 2-D volume's scalar cells are not.
+    Pass one problem as ``vol[:, :, None]``."""
     n, m = vol.shape[:2]
     for i in range(1, n):
         cell = vol[i, 0]

@@ -238,9 +238,11 @@ class TestTrainConfig:
         {"lr_decay": math.nan}, {"lr_decay": math.inf}, {"lr_decay": -1e-3},
     ])
     def test_bad_float_rejected(self, kwargs):
-        name = next(iter(kwargs))
-        with pytest.raises(ValidationError, match=f"{name} must be .* finite"):
+        (name, value), = kwargs.items()
+        interval = {"learning_rate": "(0, inf)", "lr_decay": "[0, inf)"}[name]
+        with pytest.raises(ValidationError) as exc:
             TrainConfig(**kwargs)
+        assert str(exc.value) == f"{name} must be in {interval}, got {value!r}"
 
     @pytest.mark.parametrize("kwargs", [
         {"dropout_p": 1.0}, {"dropout_p": -0.1}, {"dropout_p": math.nan}, {"batch_size": -1},
@@ -252,7 +254,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("epochs", [0, -2])
     def test_nonpositive_epochs_rejected(self, epochs):
-        with pytest.raises(ValidationError, match="epochs must be positive"):
+        with pytest.raises(ValidationError, match=f"^epochs must be >= 1, got {epochs}$"):
             TrainConfig(epochs=epochs)
 
 

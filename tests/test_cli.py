@@ -470,8 +470,8 @@ class TestMatchRun:
 
 @pytest.mark.parametrize("command, settings, message", [
     ("synth gen", ("alpha=0",), "alpha must be >= 1"),
-    ("match run", ("warp=2", "map_kind=bogus", "n_classes=1"), "need at least 2 classes"),
-    ("eval topk", ("noise_std=-1",), "noise_std must be nonnegative and finite"),
+    ("match run", ("warp=2", "map_kind=bogus", "n_classes=1"), "n_classes must be >= 2, got 1\n"),
+    ("eval topk", ("noise_std=-1",), "noise_std must be in [0, inf), got -1.0\n"),
     ("synth gen", ("topk=0",), "k must be >= 1"),
     ("match run", ("topk=0",), "k must be >= 1"),
     ("eval topk", ("topk=-2",), "k must be >= 1"),

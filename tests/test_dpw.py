@@ -298,9 +298,10 @@ class TestValidateHipa:
 
     @pytest.mark.parametrize("hipa", ["x", None, ((1, 1, ((1, 1),)),)], ids=str)
     def test_non_hipa_rejected(self, hipa):
-        with pytest.raises(ValidationError, match="expected a HiPa, got"):
+        message = f"^hipa must be of type HiPa, got {type(hipa).__name__}$"
+        with pytest.raises(ValidationError, match=message):
             validate_hipa(hipa, (1, 1), (1, 1))
-        with pytest.raises(ValidationError, match="expected a HiPa, got"):
+        with pytest.raises(ValidationError, match=message):
             path_cost(np.ones((1, 1)), np.ones((1, 1)), hipa)
 
     def test_nodes_must_be_path_nodes(self):

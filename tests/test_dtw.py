@@ -183,6 +183,17 @@ class TestAccumulateTables:
     def test_one_row_or_column(self, shape):
         assert_same_tables(np.random.default_rng(1).uniform(0, 3, shape))
 
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 5), (5, 1), (6, 8), (9, 2)])
+    def test_two_dimensional_volume_is_one_problem(self, shape):
+        vol = np.random.default_rng(6).uniform(0, 3, shape)
+        want = reference_accumulate_tables(vol[:, :, None].copy())[:, :, 0]
+        got = accumulate_tables(vol)
+        assert got is vol and np.array_equal(bits(got), bits(want))
+
+    def test_two_dimensional_running_sums(self):
+        got = accumulate_tables(np.arange(1.0, 13.0).reshape(3, 4))
+        assert got.tolist() == [[1, 3, 6, 10], [6, 7, 10, 14], [15, 16, 18, 22]]
+
     @pytest.mark.parametrize("batch", [(5,), (3, 4)], ids=["one_axis", "two_axes"])
     def test_trailing_batch_axes(self, batch):
         assert_same_tables(np.random.default_rng(2).uniform(0, 3, (6, 8, *batch)))

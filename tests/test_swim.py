@@ -199,12 +199,12 @@ class TestGreedyBuild:
 class TestSwimConfig:
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
     def test_bad_eps_rejected(self, eps):
-        with pytest.raises(ValidationError, match="eps must be positive and finite"):
+        with pytest.raises(ValidationError, match=rf"^eps must be in \(0, inf\), got {eps}$"):
             SwimConfig(eps=eps)
 
     @pytest.mark.parametrize("hidden", [0, -4])
     def test_nonpositive_hidden_rejected(self, hidden):
-        with pytest.raises(ValidationError, match="hidden size must be >= 1"):
+        with pytest.raises(ValidationError, match=f"^hidden must be >= 1, got {hidden}$"):
             SwimConfig(hidden=hidden)
 
 

@@ -24,10 +24,10 @@ class TestConfig:
             SynthConfig(map_kind="rotation")
 
     @pytest.mark.parametrize("setting, message", [
-        ({"height": 0}, "matrix dimensions must be >= 1"),
-        ({"width": -1}, "matrix dimensions must be >= 1"),
-        ({"channels": 0}, "matrix dimensions must be >= 1"),
-        ({"n_components": -1}, "n_components must be nonnegative"),
+        ({"height": 0}, "height must be >= 1, got 0"),
+        ({"width": -1}, "width must be >= 1, got -1"),
+        ({"channels": 0}, "channels must be >= 1, got 0"),
+        ({"n_components": -1}, "n_components must be >= 0, got -1"),
         ({"component_mix": -0.1}, r"component_mix must be in \[0, 1\]"),
         ({"component_mix": 1.5}, r"component_mix must be in \[0, 1\]"),
         ({"component_mix": math.nan}, r"component_mix must be in \[0, 1\]"),
@@ -40,8 +40,11 @@ class TestConfig:
     @pytest.mark.parametrize("setting", [{"map_gain": math.inf}, {"map_gain": math.nan},
                                          {"noise_std": math.nan}], ids=str)
     def test_rejects_non_finite(self, setting):
-        with pytest.raises(ValidationError, match="finite"):
+        (name, value), = setting.items()
+        interval = {"map_gain": "(-inf, inf)", "noise_std": "[0, inf)"}[name]
+        with pytest.raises(ValidationError) as exc:
             SynthConfig(**setting)
+        assert str(exc.value) == f"{name} must be in {interval}, got {value!r}"
 
 
 class TestSmoothField:
