@@ -227,6 +227,7 @@ class _Workspace:
 
 def adapt_matrix(params: AdapterParams, m) -> FeatureMatrix:
     """Adapt every element of a feature matrix; positions and dims unchanged."""
+    _check_type(params, AdapterParams, "params")
     arr = as_feature_array(m)
     if arr.shape[2] != params.n_in:
         raise ValidationError(f"channel mismatch: {arr.shape[2]} vs {params.n_in}")
@@ -339,6 +340,8 @@ def train_on_pairs(params: AdapterParams, pairs, cfg: TrainConfig,
 
 def param_delta(a: AdapterParams, b: AdapterParams) -> float:
     """L2 norm of the difference between two parameter sets, all arrays flattened."""
+    _check_type(a, AdapterParams, "a")
+    _check_type(b, AdapterParams, "b")
     if len(a.layers) != len(b.layers):
         raise ValidationError("parameter shapes differ")
     total = 0.0
@@ -355,7 +358,14 @@ def param_delta(a: AdapterParams, b: AdapterParams) -> float:
 # Checkpoints
 
 def save_adapter(params: AdapterParams, path) -> None:
-    """Write adapter weights as an LFA1 checkpoint (weights only, bit-exact)."""
+    """Write adapter weights as an LFA1 checkpoint (weights only, bit-exact).
+
+    LFA1 has no pass-through flag, so pass-through params (an adapter never
+    trained) raise ValidationError rather than reload as their random weights.
+    """
+    _check_type(params, AdapterParams, "params")
+    if params.pass_through:
+        raise ValidationError("a pass-through adapter cannot be saved: LFA1 stores weights only")
     with open(path, "wb") as f:
         f.write(CKPT_MAGIC)
         f.write(struct.pack("<I", len(params.layers)))

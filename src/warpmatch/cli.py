@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .adapter import TrainConfig, load_adapter, save_adapter
-from .dpw import _pair_costs, dpw, optimal_hipa
+from .dpw import _flatten, _pair_costs, _walk, dpw
 from .errors import DivergenceError, FormatError, ValidationError
 from .evaluate import (_check_datasets, knn_baseline, match_topk, rank_report,
                        report_csv_lines, report_json)
@@ -172,8 +172,7 @@ def cmd_dpw_dist(args) -> int:
 def cmd_dpw_align(args) -> int:
     a = _load_any_matrix(args.matrix_a)
     b = _load_any_matrix(args.matrix_b)
-    _, tables = dpw(a, b)
-    idx = optimal_hipa(a, b, tables).index_arrays()
+    idx = _flatten(_walk(dpw(a, b)[1]))
     lines = ["hs,ws,he,we,cost"]
     for hs, ws, he, we, cost in zip(*((i + 1).tolist() for i in idx),
                                     _pair_costs(a.data, b.data, *idx).tolist()):
@@ -210,7 +209,8 @@ def cmd_match_run(args) -> int:
         lines.append(f"{emerging.class_ids[l]},{seen.class_ids[k]},{d!r}")
     _write_lines(outdir / "assignment.csv", lines)
     _write_traces(outdir, steps)
-    save_adapter(params, outdir / "adapter.lfa")
+    if not params.pass_through:  # never trained: LFA1 cannot hold a pass-through adapter
+        save_adapter(params, outdir / "adapter.lfa")
 
     # The report ranks the matrix the last trace row was ranked from.
     report = rank_report(dist, seen, emerging, topk)

@@ -13,8 +13,8 @@ the two-level path achieving it is recovered by backtracking the tables.
 Index convention: hierarchical path nodes carry 1-based indices in the
 data model; everything internal is 0-based and converted at the boundary.
 One private walk backtracks both levels and one flattener turns row nodes
-into four index arrays; the inner loop reads its training pairs from the
-walk directly, and :func:`optimal_hipa` wraps the same walk in a ``HiPa``.
+into four index arrays; the inner loop and ``dpw align`` read their pairs
+from the walk directly, and only :func:`optimal_hipa` wraps it in a ``HiPa``.
 """
 
 from __future__ import annotations
@@ -230,20 +230,21 @@ def validate_hipa(hipa: HiPa, shape_s, shape_e) -> list[str]:
     valid): boundary (must span both matrices completely), monotonicity
     (indices never decrease) and step size (unit steps only), plus plain
     index-range checks, for the row path and then each row node's element path.
+    The shapes are (rows, columns) pairs of integers >= 1.
     """
     _check_type(hipa, HiPa, "hipa")
     (hs, ws), (he, we) = _as_pairs((shape_s, shape_e),
                                    "shape_s and shape_e must be (rows, columns) pairs")
+    hs, ws = (_as_index(n, "each entry of shape_s", 1) for n in (hs, ws))
+    he, we = (_as_index(n, "each entry of shape_e", 1) for n in (he, we))
     if not hipa.nodes:
         return ["boundary: path has no row nodes"]
-    out = _lattice_violations([(node.hs, node.he) for node in hipa.nodes],
-                              int(hs), int(he), "row node {}")
+    out = _lattice_violations([(node.hs, node.he) for node in hipa.nodes], hs, he, "row node {}")
     for l, node in enumerate(hipa.nodes, 1):
         if not node.cols:
             out.append(f"boundary: row node {l} has no element pairs")
             continue
-        out += _lattice_violations(node.cols, int(ws), int(we),
-                                   f"element node {{}} of row node {l}")
+        out += _lattice_violations(node.cols, ws, we, f"element node {{}} of row node {l}")
     return out
 
 

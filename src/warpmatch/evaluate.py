@@ -20,7 +20,7 @@ import numpy as np
 
 from .adapter import AdapterParams, adapt_matrix
 from .errors import ValidationError
-from .matrix import Dataset, _as_float_array, _as_index
+from .matrix import Dataset, _as_float_array, _as_index, _check_type
 from .swim import dpw_distance_matrix, rank_columns
 
 
@@ -47,6 +47,8 @@ class MatchReport:
 
 
 def _check_datasets(seen: Dataset, emerging: Dataset, k: int, one_shape=False) -> int:
+    _check_type(seen, Dataset, "seen")
+    _check_type(emerging, Dataset, "emerging")
     if set(seen.class_ids) != set(emerging.class_ids):
         raise ValidationError("seen and emerging datasets must share one class-id set")
     if seen.channels != emerging.channels:

@@ -70,6 +70,15 @@ def _check_type(value, cls, name: str) -> None:
         raise ValidationError(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
 
 
+def _as_matrix_list(items, name: str) -> list:
+    """``items`` as a list; anything not iterable raises ValidationError naming ``name``."""
+    try:
+        return list(items)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence of feature matrices, "
+                              f"got {type(items).__name__}") from None
+
+
 def _as_index(value, name: str = "index", low: int | None = None) -> int:
     """``value`` as an int of at least ``low``; integers pass (numpy's too), floats,
     strings and arrays do not.  The error names ``value`` as ``name``."""
@@ -110,13 +119,16 @@ def _check_fields(obj, **rules) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """Immutable H x W grid of C-dimensional feature elements."""
+    """Immutable H x W grid of C-dimensional feature elements.
+
+    ``data`` is a read-only copy of what it was built from: the caller's
+    array stays writable, and later writes to it do not reach the matrix.
+    """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = as_feature_array(self.data)
-        arr = np.ascontiguousarray(arr)
+        arr = np.array(as_feature_array(self.data), order="C")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 

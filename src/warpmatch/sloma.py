@@ -19,7 +19,7 @@ import numpy as np
 from .adapter import AdapterParams, TrainConfig, adapt_matrix, param_delta, train_on_pairs
 from .dpw import _flatten, _walk, dpw
 from .errors import ValidationError
-from .matrix import _as_index, _as_pairs, _as_real, as_feature_array
+from .matrix import _as_index, _as_matrix_list, _as_pairs, _as_real, _check_type, as_feature_array
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,11 @@ def run_sloma(seen, emerging, pairs: MatchedPairSet, params0: AdapterParams,
         pairs = MatchedPairSet(pairs)
     if pairs.n == 0:
         raise ValidationError("pair set must be nonempty")
+    _check_type(params0, AdapterParams, "params0")
     eps = _as_real(eps, "eps", "(0, inf)")
     max_iters = _as_index(max_iters, "max_iters", 0)
-    seen_arrs = [as_feature_array(m) for m in seen]
-    emerging_arrs = [as_feature_array(m) for m in emerging]
+    seen_arrs = [as_feature_array(m) for m in _as_matrix_list(seen, "seen")]
+    emerging_arrs = [as_feature_array(m) for m in _as_matrix_list(emerging, "emerging")]
     for k, l in pairs:
         if not (0 <= k < len(seen_arrs) and 0 <= l < len(emerging_arrs)):
             raise ValidationError(f"pair ({k},{l}) out of range")

@@ -27,7 +27,7 @@ from scipy.spatial.distance import cdist
 from .adapter import TrainConfig, adapt_matrix, init_adapter
 from .dpw import column_rows, two_level_tables
 from .errors import ValidationError
-from .matrix import _as_index, _check_fields, _check_type, as_feature_array
+from .matrix import _as_index, _as_matrix_list, _check_fields, _check_type, as_feature_array
 from .sloma import MatchedPairSet, run_sloma
 
 # Cap on the element-distance block of one distance-matrix chunk (float64
@@ -91,8 +91,8 @@ def dpw_distance_matrix(seen, emerging, workers: int = 1) -> np.ndarray:
     cost block and fills disjoint cells.
     """
     workers = _as_index(workers, "workers", 1)
-    arrs_a = [as_feature_array(m) for m in seen]
-    arrs_b = [as_feature_array(m) for m in emerging]
+    arrs_a = [as_feature_array(m) for m in _as_matrix_list(seen, "seen")]
+    arrs_b = [as_feature_array(m) for m in _as_matrix_list(emerging, "emerging")]
     if not arrs_a or not arrs_b:
         raise ValidationError("distance matrix needs nonempty matrix sets")
     channels = {a.shape[2] for a in arrs_a} | {b.shape[2] for b in arrs_b}
@@ -174,6 +174,7 @@ def run_swim(seen, emerging, cfg: SwimConfig, class_ids=None, workers: int = 1):
         the final params (the one the last trace row ranks), ready for
         :func:`warpmatch.evaluate.rank_report`.
     """
+    seen, emerging = _as_matrix_list(seen, "seen"), _as_matrix_list(emerging, "emerging")
     n_total = len(seen)
     if n_total == 0 or len(emerging) != n_total:
         raise ValidationError("seen and emerging sets must be nonempty and equally sized")

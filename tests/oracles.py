@@ -3,8 +3,9 @@
 Everything here is deliberately written without the library's DP kernels
 and its fused training loop: recursive path enumeration, a pure-Python DTW,
 pure-Python sums, finite differences, the per-array adapter training loop,
-the cell-by-cell DP kernel that the anti-diagonal one replaced, and the
-synthetic field upsampled one channel at a time.  The one exception is
+the cell-by-cell DP kernel that the anti-diagonal one replaced, the per-step
+backtrack with one branch per table edge, and the synthetic field upsampled
+one channel at a time.  The one exception is
 ``training_loss_and_gradients``: it runs the training loop's own forward
 and backward pass on one batch, so that finite differences can check it.
 """
@@ -133,6 +134,29 @@ def reference_accumulate_tables(vol):
             cell = cur[j]
             cell += best
     return vol
+
+
+def reference_dtw_path(table):
+    """The backtrack one step at a time, with a branch for each table edge;
+    ``warpmatch.dtw.dtw_path`` must return its paths exactly.  Ties prefer the
+    diagonal, then a step back in the first index, then in the second."""
+    i, j = table.shape[0] - 1, table.shape[1] - 1
+    path = [(i, j)]
+    while i or j:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            best = (i - 1, j - 1)
+            value = table[best]
+            for cand in ((i - 1, j), (i, j - 1)):
+                if table[cand] < value:
+                    best, value = cand, table[cand]
+            i, j = best
+        path.append((i, j))
+    path.reverse()
+    return path
 
 
 def brute_dpw_min(a, b):

@@ -405,6 +405,12 @@ class TestCheckpoint:
             assert w1.tobytes() == w2.tobytes()
             assert b1.tobytes() == b2.tobytes()
 
+    def test_pass_through_params_refused(self, tmp_path):
+        path = tmp_path / "p.lfa"
+        with pytest.raises(ValidationError, match="^a pass-through adapter cannot be saved"):
+            save_adapter(init_adapter(3, 4, pass_through=True), path)
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.lfa"
         path.write_bytes(b"XXXX" + b"\x00" * 16)

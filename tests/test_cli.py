@@ -16,6 +16,7 @@ from warpmatch import (Dataset, FeatureMatrix, SwimConfig, SynthConfig, TrainCon
                        gen_task, init_adapter, save_adapter, save_dataset, save_matrix, swim)
 from warpmatch.adapter import CKPT_MAGIC
 from warpmatch.cli import _SCHEMA, _run_configs, load_run_config, main, resolved_config_lines
+from warpmatch.dpw import HiPa, PathNode
 from warpmatch.errors import FormatError, ValidationError
 from warpmatch.toy import TOY_E, TOY_S
 
@@ -169,6 +170,16 @@ class TestDpwCommands:
         rows = list(csv.DictReader(out.open()))
         assert sum(float(r["cost"]) for r in rows) == 654.0
 
+    def test_align_builds_no_path_objects(self, toy_csvs, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dpw align built a path object")
+
+        monkeypatch.setattr(PathNode, "__post_init__", refuse)
+        monkeypatch.setattr(HiPa, "__post_init__", refuse)
+        out = tmp_path / "toy_align.csv"
+        assert main(["dpw", "align", *toy_csvs, "-o", str(out)]) == 0
+        assert len(out.read_text().splitlines()) > 1
+
 
 class TestSynthGen:
     def test_writes_datasets_and_truth(self, tmp_path, capsys):
@@ -254,6 +265,14 @@ class TestMatchRun:
         assert len(assignment) == 5
         doc = json.loads((out / "report.json").read_text())
         assert set(doc) == {"k", "top1", "top5", "items"}
+
+    def test_untrained_adapter_is_not_saved(self, small_task, tmp_path, capsys):
+        """With no inner iteration the adapter stays pass-through, which LFA1
+        cannot store; the run writes its reports and no adapter.lfa."""
+        out = tmp_path / "run"
+        assert main(run_args(small_task, out, ("--set", "max_sloma_iters=0"))) == 0
+        assert (out / "report.csv").exists()
+        assert not (out / "adapter.lfa").exists()
 
     def test_rerun_is_byte_identical(self, small_task, tmp_path, capsys):
         out1 = tmp_path / "r1"

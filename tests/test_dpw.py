@@ -1,4 +1,5 @@
 import itertools
+import re
 from importlib import import_module
 
 import numpy as np
@@ -10,6 +11,7 @@ from warpmatch import (
     dpw,
     optimal_hipa,
     path_cost,
+    toy_pair,
     validate_hipa,
 )
 from warpmatch.dpw import HiPa, PathNode, column_rows, two_level_tables
@@ -303,6 +305,20 @@ class TestValidateHipa:
             validate_hipa(hipa, (1, 1), (1, 1))
         with pytest.raises(ValidationError, match=message):
             path_cost(np.ones((1, 1)), np.ones((1, 1)), hipa)
+
+    @pytest.mark.parametrize("shape_s, shape_e, message", [
+        ((2.7, 8), (8, 8), "each entry of shape_s must be an integer, got 2.7"),
+        (("x", 8), (8, 8), "each entry of shape_s must be an integer, got 'x'"),
+        ((8, 8), (8, 0), "each entry of shape_e must be >= 1, got 0")],
+        ids=["float", "string", "zero"])
+    def test_shape_entries_must_be_positive_integers(self, shape_s, shape_e, message):
+        hipa = optimal_hipa(*toy_pair())
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            validate_hipa(hipa, shape_s, shape_e)
+
+    def test_numpy_integer_shapes_accepted(self):
+        hipa = optimal_hipa(*toy_pair())
+        assert validate_hipa(hipa, (np.int64(8), 8), (8, np.uint8(8))) == []
 
     def test_nodes_must_be_path_nodes(self):
         with pytest.raises(ValidationError, match="HiPa nodes must be PathNode values"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.spatial.distance import cdist
 
-from oracles import reference_accumulate_tables
+from oracles import reference_accumulate_tables, reference_dtw_path
 from warpmatch import ValidationError, dpw, dtw_path
 from warpmatch.dpw import column_rows, two_level_tables
 from warpmatch.dtw import accumulate_tables
@@ -148,6 +148,17 @@ class TestDtwPath:
         # Every predecessor ties: diagonal first, then back in the first index.
         assert dtw_path(np.zeros((3, 3))) == [(0, 0), (1, 1), (2, 2)]
         assert dtw_path([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]) == [(0, 0), (1, 0), (2, 1)]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_per_step_oracle(self, n):
+        """Every shape from 1x1 to 8x8, on tables of costs in {0, 1, 2} (so
+        many predecessors tie exactly), both raw and accumulated."""
+        rng = np.random.default_rng(n)
+        for m in range(1, 9):
+            for _ in range(8):
+                costs = rng.integers(0, 3, (n, m)).astype(float)
+                for table in (costs, accumulate_tables(costs.copy())):
+                    assert dtw_path(table) == reference_dtw_path(table), table
 
     @pytest.mark.parametrize("table", [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(4),
                                        np.zeros((2, 2, 2)), [[0.0, np.nan], [1.0, 2.0]],

@@ -39,6 +39,18 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError):
             m.data[0, 0, 0] = 5.0
 
+    @pytest.mark.parametrize("make", [lambda base: base, lambda base: base[:],
+                                      lambda base: base[:, :, 0]],
+                             ids=["array", "view", "two_dimensional"])
+    def test_copies_the_callers_array(self, make):
+        base = np.zeros((2, 2, 1))
+        arr = make(base)
+        m = FeatureMatrix(arr)
+        assert arr.flags.writeable and base.flags.writeable
+        assert not np.shares_memory(base, m.data)
+        base[0, 0, 0] = 5.0
+        assert m.data[0, 0, 0] == 0.0
+
 
 class TestFmxRoundTrip:
     def test_round_trip_is_bit_exact(self, tmp_path):

@@ -26,6 +26,7 @@ from warpmatch import (
     SynthConfig,
     TrainConfig,
     ValidationError,
+    adapt_matrix,
     dpw,
     dpw_distance_matrix,
     dtw_path,
@@ -33,9 +34,11 @@ from warpmatch import (
     knn_baseline,
     match_topk,
     optimal_hipa,
+    param_delta,
     rank_report,
     run_sloma,
     run_swim,
+    save_adapter,
     train_on_pairs,
     validate_hipa,
 )
@@ -269,14 +272,14 @@ def test_ragged_array_rejected(site):
 # ---------------------------------------------------------------------------
 # Objects at the public entry points
 
-def wrong_object_calls():
-    mats, _ = small_sets()
+def wrong_object_calls(tmp_path):
+    mats, ds = small_sets()
     params = init_adapter(2, 3)
     xy = (np.ones((2, 2)), np.ones((2, 2)))
     hipa = optimal_hipa(*mats)
 
-    def sloma(pairs):
-        return run_sloma(mats, mats, pairs, params, eps=1e-3, cfg=TrainConfig(), max_iters=1)
+    def sloma(pairs, seen=mats, params0=params):
+        return run_sloma(seen, mats, pairs, params0, eps=1e-3, cfg=TrainConfig(), max_iters=1)
 
     def swim(class_ids):
         return run_swim(mats, mats, SwimConfig(max_sloma_iters=0), class_ids=class_ids)
@@ -293,6 +296,18 @@ def wrong_object_calls():
         "run_sloma.pairs=5": lambda: sloma(5),
         "run_sloma.pairs=((0,),)": lambda: sloma(((0,),)),
         "validate_hipa.shapes": lambda: validate_hipa(hipa, 3, 3),
+        "run_sloma.params0": lambda: sloma(((0, 0),), params0=None),
+        "adapt_matrix.params": lambda: adapt_matrix(None, mats[0]),
+        "param_delta.a": lambda: param_delta(None, params),
+        "param_delta.b": lambda: param_delta(params, None),
+        "save_adapter.params": lambda: save_adapter(None, tmp_path / "a.lfa"),
+        "match_topk.params": lambda: match_topk(ds, ds, None),
+        "knn_baseline.params": lambda: knn_baseline(ds, ds, None),
+        "rank_report.seen": lambda: rank_report(np.ones((2, 2)), 5, 5),
+        "match_topk.seen": lambda: match_topk(5, 5, params),
+        "dpw_distance_matrix.seen": lambda: dpw_distance_matrix(5, mats),
+        "run_sloma.seen": lambda: sloma(((0, 0),), seen=5),
+        "run_swim.seen": lambda: run_swim(5, mats, SwimConfig(max_sloma_iters=0)),
     }
 
 
@@ -308,10 +323,22 @@ WRONG_OBJECTS = {
     "run_sloma.pairs=5": "pairs must be a sequence of (seen, emerging) index pairs",
     "run_sloma.pairs=((0,),)": "pairs must be a sequence of (seen, emerging) index pairs",
     "validate_hipa.shapes": "shape_s and shape_e must be (rows, columns) pairs",
+    "run_sloma.params0": "params0 must be of type AdapterParams, got NoneType",
+    "adapt_matrix.params": "params must be of type AdapterParams, got NoneType",
+    "param_delta.a": "a must be of type AdapterParams, got NoneType",
+    "param_delta.b": "b must be of type AdapterParams, got NoneType",
+    "save_adapter.params": "params must be of type AdapterParams, got NoneType",
+    "match_topk.params": "params must be of type AdapterParams, got NoneType",
+    "knn_baseline.params": "params must be of type AdapterParams, got NoneType",
+    "rank_report.seen": "seen must be of type Dataset, got int",
+    "match_topk.seen": "seen must be of type Dataset, got int",
+    "dpw_distance_matrix.seen": "seen must be a sequence of feature matrices, got int",
+    "run_sloma.seen": "seen must be a sequence of feature matrices, got int",
+    "run_swim.seen": "seen must be a sequence of feature matrices, got int",
 }
 
 
 @pytest.mark.parametrize("case", WRONG_OBJECTS)
-def test_wrong_object_rejected(case):
+def test_wrong_object_rejected(case, tmp_path):
     with pytest.raises(ValidationError, match=f"^{re.escape(WRONG_OBJECTS[case])}$"):
-        wrong_object_calls()[case]()
+        wrong_object_calls(tmp_path)[case]()
