@@ -7,8 +7,10 @@ total element cost is the dpw distance (plain DTW on one-row matrices), and
 the two-level path achieving it is recovered by backtracking the tables.
 
 :func:`two_level_tables` is the one owner of that two-level volume layout:
-:func:`dpw` is its single-pair case, and the batched distance matrix in
-:mod:`warpmatch.swim` calls it once per chunk of stacked matrices.
+:func:`dpw` is its single-pair case and keeps its full tables.  The batched
+distance matrix in :mod:`warpmatch.swim` needs only distances, so it streams
+the same layout one target column at a time, keeping two rows of cells, and
+shares the row-pair view and the hierarchical level with it.
 
 Index convention: hierarchical path nodes carry 1-based indices in the
 data model; everything internal is 0-based and converted at the boundary.
@@ -142,15 +144,29 @@ def two_level_tables(costs: np.ndarray, n_s: int, shape_s, n_e: int, shape_e):
     """
     hs, ws = shape_s
     he, we = shape_e
-    vol = costs.reshape(n_e * he, we, ws, n_s * hs).transpose(1, 2, 0, 3)
+    vol = _row_pair_volume(costs, we, ws)
     if costs.size <= _CONTIGUOUS_MAX:
         vol = np.ascontiguousarray(vol).reshape(we, ws, -1)
     acc = accumulate_tables(vol).reshape(we, ws, n_e * he, n_s * hs)
-    # A copy, not a view: acc[-1, -1] is part of the row tables that
-    # backtracking reads, and accumulate_tables works in place.
-    hier = acc[-1, -1].reshape(n_e, he, n_s, hs).transpose(3, 1, 2, 0).copy()
+    return acc.transpose(1, 0, 3, 2), _hier_tables(acc[-1, -1], n_s, hs, n_e, he)
+
+
+def _row_pair_volume(costs: np.ndarray, we: int, ws: int) -> np.ndarray:
+    """A view of ``costs`` laid out as :func:`two_level_tables` documents, for
+    ``we`` target columns, as the (We, Ws, targets * He, sources * Hs) volume
+    of row-pair problems."""
+    return costs.reshape(-1, we, ws, costs.shape[1] // ws).transpose(1, 2, 0, 3)
+
+
+def _hier_tables(last: np.ndarray, n_s: int, hs: int, n_e: int, he: int) -> np.ndarray:
+    """The hierarchical level: ``last`` is the last cell of the row level, a
+    (targets * He, sources * Hs) block of row-pair distances, and the result
+    ``hier[:, :, s, t]`` is the accumulated hierarchical table of each pair."""
+    # A copy, not a view: last is part of the row tables that backtracking
+    # reads, and accumulate_tables works in place.
+    hier = last.reshape(n_e, he, n_s, hs).transpose(3, 1, 2, 0).copy()
     accumulate_tables(hier.reshape(hs, he, -1))
-    return acc.transpose(1, 0, 3, 2), hier
+    return hier
 
 
 def dpw(s, e) -> tuple[float, DpwTables]:

@@ -4,8 +4,10 @@
 the DTW recurrence over a batch of problems at once and in place, a whole
 anti-diagonal per numpy call, which is what makes plain numpy fast enough.
 It powers both levels of :func:`warpmatch.dpw.two_level_tables` (plain DTW
-of two element rows is ``dpw`` on one-row matrices).  The tables are kept in
-full because :func:`dtw_path` backtracks through interior prefix values.
+of two element rows is ``dpw`` on one-row matrices).  There the tables are
+kept in full because :func:`dtw_path` backtracks through interior prefix
+values; the batched distance matrix, which needs only the last cells, gives
+it one row at a time with the accumulated row above as ``prev``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .matrix import _as_float_array
 _BUDGET = 1 << 15  # about the most floats one interior numpy call touches
 
 
-def accumulate_tables(vol: np.ndarray) -> np.ndarray:
+def accumulate_tables(vol: np.ndarray, prev: np.ndarray | None = None) -> np.ndarray:
     """Accumulated-cost tables for a batch of alignment problems, in place.
 
     ``vol[i, j, ...]`` is the local cost of pairing position i with position
@@ -29,33 +31,57 @@ def accumulate_tables(vol: np.ndarray) -> np.ndarray:
     ``acc[i, j] = min(acc[i-1, j-1], acc[i-1, j], acc[i, j-1]) + vol[i, j]``
     fills the rest, so each anti-diagonal needs only the two before it.  Each
     numpy call does one anti-diagonal of a strip of ``max(1, _BUDGET // problems)`` rows.
+
+    ``prev``, shaped like ``vol[0]``, is the accumulated row above ``vol``:
+    the first row then continues that table instead of starting one, so a
+    table accumulated a few rows per call, each call given the last row of
+    the one before, equals the table accumulated at once, bit for bit.
     """
     n, m = vol.shape[:2]
     if min(n, m) > 1 and vol.strides[0] != m * vol.strides[1]:
         raise ValueError(f"the first two axes of vol do not merge: strides {vol.strides}")
-    # One slab of problems a step; each edge keeps a unit axis, so its cells are
-    # views even in a 2-D volume.  np.add.accumulate loops once per problem inside,
-    # several times slower on the batched matrices' thousands of problems.
-    for edge in (vol[:, :1], vol[:1].swapaxes(0, 1)):
-        for k in range(1, len(edge)):
-            cell = edge[k]
-            cell += edge[k - 1]
+    if prev is not None and prev.shape != vol.shape[1:]:
+        raise ValueError(f"prev has shape {prev.shape}, not that of a row {vol.shape[1:]}")
+    # A unit trailing axis on a 2-D volume makes its cells views, so the
+    # in-place updates below reach it.  np.add.accumulate along the edges loops
+    # once per problem inside, several times slower on the batched matrices'
+    # thousands of problems.
+    cells = vol[..., None] if vol.ndim == 2 else vol
+    row = cells[0]
+    if prev is None:
+        for j in range(1, m):
+            cell = row[j]
+            cell += row[j - 1]
+    else:
+        above = prev[..., None] if vol.ndim == 2 else prev
+        cell = row[0]
+        cell += above[0]
+        for j in range(1, m):
+            _relax(row[j], above[j - 1], above[j], row[j - 1])
+    for i in range(1, n):
+        cell = cells[i, 0]
+        cell += cells[i - 1, 0]
     if min(n, m) < 2:
         return vol
     # Cell (i, j) is flat[i * m + j], so an anti-diagonal i + j = d is one slice of step m - 1.
-    flat = vol.reshape(n * m, *vol.shape[2:])
+    flat = cells.reshape(n * m, *cells.shape[2:])
     rows = max(1, _BUDGET // max(1, flat[0].size))
     for top in range(1, n, rows):
         bottom = min(top + rows, n) - 1
         for d in range(top + 1, bottom + m):
             k = d + max(top, d - m + 1) * (m - 1)
             end = d + min(bottom, d - 1) * (m - 1) + 1
-            best = np.minimum(flat[k - m - 1:end - m - 1:m - 1], flat[k - m:end - m:m - 1])
-            np.minimum(best, flat[k - 1:end - 1:m - 1], out=best)
-            # One view as input and output skips numpy's overlap check.
-            cell = flat[k:end:m - 1]
-            cell += best
+            _relax(flat[k:end:m - 1], flat[k - m - 1:end - m - 1:m - 1],
+                   flat[k - m:end - m:m - 1], flat[k - 1:end - 1:m - 1])
     return vol
+
+
+def _relax(cell, diag, up, left) -> None:
+    """``cell += min(diag, up, left)`` in place: the recurrence on one run of cells."""
+    best = np.minimum(diag, up)
+    np.minimum(best, left, out=best)
+    # One view as input and output skips numpy's overlap check.
+    cell += best
 
 
 def dtw_path(table: np.ndarray) -> list[tuple[int, int]]:

@@ -86,6 +86,7 @@ def run_sloma(seen, emerging, pairs: MatchedPairSet, params0: AdapterParams,
     if pairs.n == 0:
         raise ValidationError("pair set must be nonempty")
     _check_type(params0, AdapterParams, "params0")
+    _check_type(cfg, TrainConfig, "cfg")
     eps = _as_real(eps, "eps", "(0, inf)")
     max_iters = _as_index(max_iters, "max_iters", 0)
     seen_arrs = [as_feature_array(m) for m in _as_matrix_list(seen, "seen")]

@@ -9,10 +9,13 @@ its per-iteration quota hands it to the inner loop.  The quota grows by
 ceil(N / alpha) times.
 
 The distance-matrix driver groups matrices by shape, cuts them into chunks
-and deals those to pool threads.  A thread writes each chunk's ``cdist``
-block into the one cost block it owns for the call, where
-:func:`warpmatch.dpw.two_level_tables`, the kernel that owns the two-level
-volume layout, accumulates it; results are identical for any worker count.
+and deals those to pool threads.  A thread streams each chunk one target
+column at a time: one ``cdist`` writes that column's row of cells into one
+half of the block it owns for the call, and
+:func:`warpmatch.dtw.accumulate_tables` accumulates it against the row above,
+in the other half.  The last row's last cells feed the hierarchical level
+that :func:`warpmatch.dpw.two_level_tables` also runs, so every entry equals
+``dpw`` bit for bit, for any worker count.
 """
 
 from __future__ import annotations
@@ -25,15 +28,17 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .adapter import TrainConfig, adapt_matrix, init_adapter
-from .dpw import column_rows, two_level_tables
+from .dpw import _hier_tables, _row_pair_volume, column_rows
+from .dtw import accumulate_tables
 from .errors import ValidationError
 from .matrix import _as_index, _as_matrix_list, _check_fields, _check_type, as_feature_array
 from .sloma import MatchedPairSet, run_sloma
 
-# Cap on the element-distance block of one distance-matrix chunk (float64
-# count, 24 MB).  Each worker gets one block of the largest chunk's size per
-# call and reuses it for all its chunks, so a call holds ``workers`` blocks.
-_CHUNK_BUDGET = 3_000_000
+# Cap on one worker's two rows of cells (float64 count, 8 MiB), unless one seen
+# matrix against one target needs more (2 * He * Ws * Hs floats).  Each worker
+# gets one block of the largest chunk's size per call and reuses it for all
+# its chunks, so a call holds ``workers`` blocks.
+_CHUNK_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,7 @@ def dpw_distance_matrix(seen, emerging, workers: int = 1) -> np.ndarray:
     order, batching and the worker count never change the result.  Chunks
     are dealt round-robin to ``workers`` threads, the calling thread being
     the first (numpy and ``cdist`` release the GIL); each thread reuses one
-    cost block and fills disjoint cells.
+    block of two rows of cells and fills disjoint entries.
     """
     workers = _as_index(workers, "workers", 1)
     arrs_a = [as_feature_array(m) for m in _as_matrix_list(seen, "seen")]
@@ -101,21 +106,32 @@ def dpw_distance_matrix(seen, emerging, workers: int = 1) -> np.ndarray:
     chunks = []  # (seen indices, their column_rows, emerging indices)
     block_size = 0
     groups_b = _by_shape(arrs_b)
+    he_max = max(he for he, _ in groups_b)
     for (hs, ws), ia in _by_shape(arrs_a).items():
-        rows_a = column_rows(np.stack([arrs_a[i] for i in ia]))
-        for (he, we), jb in groups_b.items():
-            step = max(1, _CHUNK_BUDGET // (len(ia) * hs * ws * he * we))
-            chunks += [(ia, rows_a, jb[start:start + step]) for start in range(0, len(jb), step)]
-            block_size = max(block_size, min(step, len(jb)) * he * we * len(rows_a))
+        # Seen sub-groups whose two rows of cells for one target fit the budget.
+        sub = max(1, _CHUNK_BUDGET // (2 * he_max * ws * hs))
+        for part in (ia[k:k + sub] for k in range(0, len(ia), sub)):
+            rows_a = column_rows(np.stack([arrs_a[i] for i in part]))
+            for (he, we), jb in groups_b.items():
+                step = max(1, _CHUNK_BUDGET // (2 * he * len(rows_a)))
+                chunks += [(part, rows_a, jb[k:k + step]) for k in range(0, len(jb), step)]
+                block_size = max(block_size, 2 * min(step, len(jb)) * he * len(rows_a))
     out = np.empty((len(arrs_a), len(arrs_b)))
 
     def fill(part, block):
         for ia, rows_a, jb in part:
-            rows_b = np.stack([arrs_b[j] for j in jb]).reshape(-1, rows_a.shape[1])
-            costs = block[:len(rows_b) * len(rows_a)].reshape(len(rows_b), len(rows_a))
-            cdist(rows_b, rows_a, out=costs)
-            out[np.ix_(ia, jb)] = two_level_tables(costs, len(ia), arrs_a[ia[0]].shape[:2],
-                                                   len(jb), arrs_b[jb[0]].shape[:2])[1][-1, -1]
+            (hs, ws), (he, we) = arrs_a[ia[0]].shape[:2], arrs_b[jb[0]].shape[:2]
+            cols_b = column_rows(np.stack([arrs_b[j] for j in jb])).reshape(we, len(jb) * he, -1)
+            size = len(jb) * he * len(rows_a)
+            halves = block[:size], block[size:2 * size]
+            prev = None
+            # One target column a step: its row of cells goes into one half of
+            # the block and accumulates against the row above, in the other.
+            for i, col in enumerate(cols_b):
+                costs = halves[i % 2].reshape(len(col), len(rows_a))
+                cdist(col, rows_a, out=costs)
+                prev = accumulate_tables(_row_pair_volume(costs, 1, ws), prev=prev)[0]
+            out[np.ix_(ia, jb)] = _hier_tables(prev[-1], len(ia), hs, len(jb), he)[-1, -1]
 
     workers = min(workers, len(chunks))
     blocks = [np.empty(block_size) for _ in range(workers)]
@@ -174,6 +190,7 @@ def run_swim(seen, emerging, cfg: SwimConfig, class_ids=None, workers: int = 1):
         the final params (the one the last trace row ranks), ready for
         :func:`warpmatch.evaluate.rank_report`.
     """
+    _check_type(cfg, SwimConfig, "cfg")
     seen, emerging = _as_matrix_list(seen, "seen"), _as_matrix_list(emerging, "emerging")
     n_total = len(seen)
     if n_total == 0 or len(emerging) != n_total:

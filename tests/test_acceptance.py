@@ -238,12 +238,16 @@ def test_criterion_09_performance(capsys):
 
     seen = [rng.uniform(0, 1, (10, 10, 160)) for _ in range(100)]
     emerging = [rng.uniform(0, 1, (10, 10, 160)) for _ in range(100)]
-    started = time.perf_counter()
+    # The bound is on process CPU time: at one worker that is the build's own
+    # work, which load from other processes on the host does not inflate.
+    started, cpu_started = time.perf_counter(), time.process_time()
     dist = dpw_distance_matrix(seen, emerging, workers=1)
+    matrix_cpu_s = time.process_time() - cpu_started
     matrix_s = time.perf_counter() - started
     with capsys.disabled():
-        report(9, median_ms <= 5.0 and matrix_s <= 30.0 and dist.shape == (100, 100),
-               f"single call median {median_ms:.2f} ms, 100x100 matrix {matrix_s:.1f} s")
+        report(9, median_ms <= 5.0 and matrix_cpu_s <= 30.0 and dist.shape == (100, 100),
+               f"single call median {median_ms:.2f} ms, 100x100 matrix {matrix_cpu_s:.1f} s "
+               f"CPU, {matrix_s:.1f} s wall")
 
 
 def test_criterion_10_headline_results_out_of_scope(capsys):

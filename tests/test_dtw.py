@@ -236,6 +236,44 @@ class TestAccumulateTables:
         reference_accumulate_tables(hier.reshape(hs, he, -1))
         assert np.array_equal(bits(hier_acc), bits(hier))
 
+    @pytest.mark.parametrize("shape", [(1, 1, 3), (1, 6, 3), (6, 1, 3), (5, 7, 4), (9, 4, 2, 3),
+                                       (1, 1), (1, 5), (5, 1), (6, 8)])
+    @pytest.mark.parametrize("quantised", [False, True], ids=["random", "ties"])
+    def test_row_by_row_from_prev(self, shape, quantised):
+        """Each row accumulated against the accumulated row above it, as the
+        distance matrix streams target columns, gives the table bit for bit."""
+        rng = np.random.default_rng(list(shape))
+        vol = rng.uniform(0, 3, shape)
+        vol = np.round(vol) if quantised else vol
+        want = reference_accumulate_tables(vol[:, :, None].copy() if vol.ndim == 2 else vol.copy())
+        prev = None
+        for i in range(len(vol)):
+            got = accumulate_tables(vol[i:i + 1], prev=prev)
+            assert got.base is vol
+            prev = got[0]
+        assert np.array_equal(bits(vol), bits(want.reshape(vol.shape)))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7], ids=lambda r: f"{r}_rows")
+    def test_strided_strips_from_prev(self, rows):
+        """Strips of a strided view laid out as the matrix's cost rows are
+        (target rows outermost), each continuing the strip above."""
+        rng = np.random.default_rng(rows)
+        block = np.round(rng.uniform(0, 3, (4, 7, 5, 3)))
+        vol = block.transpose(1, 2, 0, 3)
+        assert vol.strides[0] == 5 * vol.strides[1] and not vol.flags.c_contiguous
+        want = reference_accumulate_tables(vol.copy())
+        accumulate_tables(vol[:rows])
+        for top in range(rows, len(vol), rows):
+            accumulate_tables(vol[top:top + rows], prev=vol[top - 1])
+        assert np.array_equal(bits(vol), bits(want))
+
+    @pytest.mark.parametrize("prev_shape", [(6, 3), (5, 1), (5, 3, 1)])
+    def test_prev_of_wrong_shape_raises(self, prev_shape):
+        vol = np.ones((2, 5, 3))
+        with pytest.raises(ValueError, match="prev has shape"):
+            accumulate_tables(vol, prev=np.zeros(prev_shape))
+        assert (vol == 1).all()
+
     @pytest.mark.parametrize("make", [lambda v: v.transpose(1, 0, 2), lambda v: v[:, :5],
                                       lambda v: v[::2]], ids=["transposed", "column_slice",
                                                               "row_step"])

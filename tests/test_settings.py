@@ -278,8 +278,8 @@ def wrong_object_calls(tmp_path):
     xy = (np.ones((2, 2)), np.ones((2, 2)))
     hipa = optimal_hipa(*mats)
 
-    def sloma(pairs, seen=mats, params0=params):
-        return run_sloma(seen, mats, pairs, params0, eps=1e-3, cfg=TrainConfig(), max_iters=1)
+    def sloma(pairs, seen=mats, params0=params, cfg=TrainConfig(), max_iters=1):
+        return run_sloma(seen, mats, pairs, params0, eps=1e-3, cfg=cfg, max_iters=max_iters)
 
     def swim(class_ids):
         return run_swim(mats, mats, SwimConfig(max_sloma_iters=0), class_ids=class_ids)
@@ -308,6 +308,8 @@ def wrong_object_calls(tmp_path):
         "dpw_distance_matrix.seen": lambda: dpw_distance_matrix(5, mats),
         "run_sloma.seen": lambda: sloma(((0, 0),), seen=5),
         "run_swim.seen": lambda: run_swim(5, mats, SwimConfig(max_sloma_iters=0)),
+        "run_swim.cfg": lambda: run_swim(mats, mats, None),
+        "run_sloma.cfg": lambda: sloma(((0, 0),), cfg=None, max_iters=0),
     }
 
 
@@ -335,6 +337,8 @@ WRONG_OBJECTS = {
     "dpw_distance_matrix.seen": "seen must be a sequence of feature matrices, got int",
     "run_sloma.seen": "seen must be a sequence of feature matrices, got int",
     "run_swim.seen": "seen must be a sequence of feature matrices, got int",
+    "run_swim.cfg": "cfg must be of type SwimConfig, got NoneType",
+    "run_sloma.cfg": "cfg must be of type TrainConfig, got NoneType",
 }
 
 

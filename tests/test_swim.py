@@ -110,7 +110,8 @@ class TestDistanceMatrix:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_one_cost_block_per_worker(self, monkeypatch, workers):
-        """Six one-target chunks reuse one cost block per worker."""
+        """Twenty-four one-pair chunks, one cdist per target column (three
+        each), reuse one cost block per worker."""
         monkeypatch.setattr(swim, "_CHUNK_BUDGET", 1)
         blocks = []
         real = swim.cdist
@@ -124,8 +125,33 @@ class TestDistanceMatrix:
         seen = [rng.uniform(0, 1, (3, 3, 2)) for _ in range(4)]
         emerging = [rng.uniform(0, 1, (3, 3, 2)) for _ in range(6)]
         d = dpw_distance_matrix(seen, emerging, workers)
-        assert len(blocks) == 6
-        assert len({id(block) for block in blocks}) == min(workers, 6)
+        assert len(blocks) == 24 * 3
+        assert len({id(block) for block in blocks}) == min(workers, 24)
+        for i in range(len(seen)):
+            for j in range(len(emerging)):
+                assert d[i, j] == dpw(seen[i], emerging[j])[0]
+
+    @pytest.mark.parametrize("budget", [1, 200, 700], ids=["below_one_pair", "one_pair",
+                                                            "sub_groups"])
+    def test_block_within_budget(self, monkeypatch, budget):
+        """A seen group larger than the budget is cut into sub-groups, so no
+        worker block exceeds the budget or one seen matrix's two rows of cells."""
+        monkeypatch.setattr(swim, "_CHUNK_BUDGET", budget)
+        blocks = []
+        real = swim.cdist
+
+        def recording(*args, **kwargs):
+            blocks.append(kwargs["out"].base)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(swim, "cdist", recording)
+        rng = np.random.default_rng(6)
+        (hs, ws), (he, we) = (3, 4), (5, 2)
+        seen = [rng.uniform(0, 1, (hs, ws, 2)) for _ in range(9)]
+        emerging = [rng.uniform(0, 1, (he, we, 2)) for _ in range(4)]
+        assert 2 * he * ws * hs * len(seen) > budget
+        d = dpw_distance_matrix(seen, emerging, workers=2)
+        assert blocks and max(block.size for block in blocks) <= max(budget, 2 * he * ws * hs)
         for i in range(len(seen)):
             for j in range(len(emerging)):
                 assert d[i, j] == dpw(seen[i], emerging[j])[0]
@@ -153,7 +179,7 @@ class TestDistanceMatrix:
         seen = [rng.uniform(0, 1, (3, 3, 2)) for _ in range(4)]
         emerging = [rng.uniform(0, 1, (3, 3, 2)) for _ in range(6)]
         d = dpw_distance_matrix(seen, emerging, workers)
-        assert threads.count(threading.get_ident()) == math.ceil(6 / workers)
+        assert threads.count(threading.get_ident()) == 3 * math.ceil(24 / workers)
         assert len(set(threads)) <= workers
         assert np.array_equal(d, dpw_distance_matrix(seen, emerging))
 
