@@ -264,7 +264,7 @@ def train_on_pairs(params: AdapterParams, pairs, cfg: TrainConfig,
     if not (isinstance(pairs, tuple) and len(pairs) == 2
             and all(isinstance(a, np.ndarray) and a.ndim == 2 for a in pairs)):
         raise ValidationError("pairs must be a tuple (X, Y) of two (n, C) arrays")
-    x, y = (np.ascontiguousarray(a, dtype=np.float64) for a in pairs)
+    x, y = (np.ascontiguousarray(_as_float_array(a, "pairs")) for a in pairs)
     n = x.shape[0]
     if n == 0:
         raise ValidationError("no training pairs")

@@ -6,11 +6,10 @@ under one set of boundary, monotonicity and unit-step rules.  The minimum
 total element cost is the dpw distance (plain DTW on one-row matrices), and
 the two-level path achieving it is recovered by backtracking the tables.
 
-:func:`two_level_tables` is the one owner of that two-level volume layout:
-:func:`dpw` is its single-pair case and keeps its full tables.  The batched
+:func:`dpw` keeps the full tables of both levels for backtracking.  The
 distance matrix in :mod:`warpmatch.swim` needs only distances, so it streams
-the same layout one target column at a time, keeping two rows of cells, and
-shares the row-pair view and the hierarchical level with it.
+the same element-distance layout one target column at a time, keeping two
+rows of cells, and shares the row-pair view and the hierarchical level with it.
 
 Index convention: hierarchical path nodes carry 1-based indices in the
 data model; everything internal is 0-based and converted at the boundary.
@@ -32,8 +31,8 @@ from .matrix import _as_index, _as_pairs, _check_type, as_feature_array
 
 _STEPS = ((1, 1), (1, 0), (0, 1))
 
-# Largest element-distance block (float64 count) that two_level_tables copies
-# into contiguous cells before the row-level DP.  On small blocks the copy is
+# Largest element-distance block (float64 count) that dpw copies into
+# contiguous cells before the row-level DP.  On small blocks the copy is
 # cheap and makes the anti-diagonal calls cheaper (15-20% of one pair's tables);
 # on large ones a second block costs more in memory traffic than strided cells do.
 _CONTIGUOUS_MAX = 1 << 16
@@ -118,55 +117,31 @@ class DpwTables:
 def column_rows(stack: np.ndarray) -> np.ndarray:
     """The elements of an (N, H, W, C) stack as rows ordered by column, matrix, row.
 
-    This is the order :func:`two_level_tables` expects for the sources of its
-    element-distance block.
+    This is the order of the sources in the element-distance blocks of
+    :func:`dpw` and of the distance matrix.
     """
     return np.ascontiguousarray(stack.transpose(2, 0, 1, 3)).reshape(-1, stack.shape[3])
 
 
-def two_level_tables(costs: np.ndarray, n_s: int, shape_s, n_e: int, shape_e):
-    """Both levels of accumulated tables for a batch of matrix pairs.
-
-    ``costs`` is ``cdist(targets.reshape(-1, C), column_rows(sources))`` for
-    ``n_e`` stacked (He, We, C) targets and ``n_s`` stacked (Hs, Ws, C)
-    sources.  In that layout each (target column, source column) cell of the
-    row-pair problems is a slab of the block whose rows run contiguously
-    over all source rows, so the row level accumulates in the block itself
-    (overwriting ``costs``) with no transposed copy; only blocks of at most
-    ``_CONTIGUOUS_MAX`` entries are copied first.  The DP runs with the
-    target column as first index; the recurrence is symmetric, so its
-    tables are the transposes of the source-first ones, bit for bit.
-
-    Returns ``(row_acc, hier_acc)``, both indexed source first:
-    ``row_acc[:, :, s * Hs + h, t * He + f]`` is the DTW table of row h of
-    source s against row f of target t, and ``hier_acc[:, :, s, t]`` the
-    hierarchical table of that pair.
-    """
-    hs, ws = shape_s
-    he, we = shape_e
-    vol = _row_pair_volume(costs, we, ws)
-    if costs.size <= _CONTIGUOUS_MAX:
-        vol = np.ascontiguousarray(vol).reshape(we, ws, -1)
-    acc = accumulate_tables(vol).reshape(we, ws, n_e * he, n_s * hs)
-    return acc.transpose(1, 0, 3, 2), _hier_tables(acc[-1, -1], n_s, hs, n_e, he)
-
-
 def _row_pair_volume(costs: np.ndarray, we: int, ws: int) -> np.ndarray:
-    """A view of ``costs`` laid out as :func:`two_level_tables` documents, for
-    ``we`` target columns, as the (We, Ws, targets * He, sources * Hs) volume
-    of row-pair problems."""
+    """``costs``, the distances of ``we`` columns of one (He, We, C) target's
+    elements (row-major) to :func:`column_rows` of (Hs, Ws, C) sources, as a
+    view: the (We, Ws, He, sources * Hs) volume of row-pair problems.
+
+    Each (target column, source column) cell is a slab of the block whose
+    rows run contiguously over all source rows, so the row level accumulates
+    in the block itself, with no transposed copy.
+    """
     return costs.reshape(-1, we, ws, costs.shape[1] // ws).transpose(1, 2, 0, 3)
 
 
-def _hier_tables(last: np.ndarray, n_s: int, hs: int, n_e: int, he: int) -> np.ndarray:
+def _hier_tables(last: np.ndarray, hs: int) -> np.ndarray:
     """The hierarchical level: ``last`` is the last cell of the row level, a
-    (targets * He, sources * Hs) block of row-pair distances, and the result
-    ``hier[:, :, s, t]`` is the accumulated hierarchical table of each pair."""
+    (He, sources * Hs) block of row-pair distances, and the result
+    ``hier[:, :, s]`` is the accumulated hierarchical table of source s."""
     # A copy, not a view: last is part of the row tables that backtracking
     # reads, and accumulate_tables works in place.
-    hier = last.reshape(n_e, he, n_s, hs).transpose(3, 1, 2, 0).copy()
-    accumulate_tables(hier.reshape(hs, he, -1))
-    return hier
+    return accumulate_tables(last.reshape(len(last), -1, hs).transpose(2, 0, 1).copy())
 
 
 def dpw(s, e) -> tuple[float, DpwTables]:
@@ -186,12 +161,17 @@ def dpw(s, e) -> tuple[float, DpwTables]:
     """
     a = as_feature_array(s)
     b = as_feature_array(e)
-    c = a.shape[2]
+    (hs, ws, c), (he, we) = a.shape, b.shape[:2]
     if b.shape[2] != c:
         raise ValidationError(f"channel mismatch: {c} vs {b.shape[2]}")
-    row_acc, hier_acc = two_level_tables(
-        cdist(b.reshape(-1, c), column_rows(a[None])), 1, a.shape[:2], 1, b.shape[:2])
-    tables = DpwTables(hier_acc[:, :, 0, 0], row_acc)
+    costs = cdist(b.reshape(-1, c), column_rows(a[None]))
+    vol = _row_pair_volume(costs, we, ws)
+    if costs.size <= _CONTIGUOUS_MAX:
+        vol = np.ascontiguousarray(vol).reshape(we, ws, -1)
+    # The DP runs with the target column as first index; the recurrence is
+    # symmetric, so its tables are the transposes of the source-first ones.
+    acc = accumulate_tables(vol).reshape(we, ws, he, hs)
+    tables = DpwTables(_hier_tables(acc[-1, -1], hs)[:, :, 0], acc.transpose(1, 0, 3, 2))
     return tables.distance, tables
 
 

@@ -3,11 +3,11 @@
 :func:`accumulate_tables` is the only alignment DP in the library: it runs
 the DTW recurrence over a batch of problems at once and in place, a whole
 anti-diagonal per numpy call, which is what makes plain numpy fast enough.
-It powers both levels of :func:`warpmatch.dpw.two_level_tables` (plain DTW
-of two element rows is ``dpw`` on one-row matrices).  There the tables are
-kept in full because :func:`dtw_path` backtracks through interior prefix
-values; the batched distance matrix, which needs only the last cells, gives
-it one row at a time with the accumulated row above as ``prev``.
+It powers both levels of :func:`warpmatch.dpw.dpw` (plain DTW of two element
+rows is ``dpw`` on one-row matrices).  There the tables are kept in full
+because :func:`dtw_path` backtracks through interior prefix values; the
+batched distance matrix, which needs only the last cells, gives it one row at
+a time with the accumulated row above as ``prev``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .matrix import _as_float_array
-
-_BUDGET = 1 << 15  # about the most floats one interior numpy call touches
 
 
 def accumulate_tables(vol: np.ndarray, prev: np.ndarray | None = None) -> np.ndarray:
@@ -30,7 +28,7 @@ def accumulate_tables(vol: np.ndarray, prev: np.ndarray | None = None) -> np.nda
     returned: the first row and column become running sums and
     ``acc[i, j] = min(acc[i-1, j-1], acc[i-1, j], acc[i, j-1]) + vol[i, j]``
     fills the rest, so each anti-diagonal needs only the two before it.  Each
-    numpy call does one anti-diagonal of a strip of ``max(1, _BUDGET // problems)`` rows.
+    numpy call does one anti-diagonal of every problem.
 
     ``prev``, shaped like ``vol[0]``, is the accumulated row above ``vol``:
     the first row then continues that table instead of starting one, so a
@@ -65,14 +63,11 @@ def accumulate_tables(vol: np.ndarray, prev: np.ndarray | None = None) -> np.nda
         return vol
     # Cell (i, j) is flat[i * m + j], so an anti-diagonal i + j = d is one slice of step m - 1.
     flat = cells.reshape(n * m, *cells.shape[2:])
-    rows = max(1, _BUDGET // max(1, flat[0].size))
-    for top in range(1, n, rows):
-        bottom = min(top + rows, n) - 1
-        for d in range(top + 1, bottom + m):
-            k = d + max(top, d - m + 1) * (m - 1)
-            end = d + min(bottom, d - 1) * (m - 1) + 1
-            _relax(flat[k:end:m - 1], flat[k - m - 1:end - m - 1:m - 1],
-                   flat[k - m:end - m:m - 1], flat[k - 1:end - 1:m - 1])
+    for d in range(2, n + m - 1):
+        k = d + max(1, d - m + 1) * (m - 1)
+        end = d + min(n - 1, d - 1) * (m - 1) + 1
+        _relax(flat[k:end:m - 1], flat[k - m - 1:end - m - 1:m - 1],
+               flat[k - m:end - m:m - 1], flat[k - 1:end - 1:m - 1])
     return vol
 
 

@@ -121,6 +121,7 @@ def knn_baseline(seen: Dataset, emerging: Dataset, params: AdapterParams,
 
 def report_json(report: MatchReport) -> str:
     """Full ranked lists as a JSON document."""
+    _check_type(report, MatchReport, "report")
     doc = {
         "k": report.k,
         "top1": report.top1,
@@ -138,6 +139,7 @@ def report_json(report: MatchReport) -> str:
 
 def report_csv_lines(report: MatchReport) -> list[str]:
     """Summary metrics as `metric,value` lines."""
+    _check_type(report, MatchReport, "report")
     return [
         "metric,value",
         f"top1,{report.top1!r}",

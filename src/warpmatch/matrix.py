@@ -327,6 +327,7 @@ def load_dataset(manifest_path, name: str | None = None) -> Dataset:
 
 def save_dataset(dataset: Dataset, directory, manifest_name: str | None = None) -> Path:
     """Write every matrix as an FMX file plus a manifest; returns the manifest path."""
+    _check_type(dataset, Dataset, "dataset")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = directory / (manifest_name or f"{dataset.name}.manifest")

@@ -8,14 +8,14 @@ its per-iteration quota hands it to the inner loop.  The quota grows by
 ``alpha`` per iteration and clamps at N, so the loop runs exactly
 ceil(N / alpha) times.
 
-The distance-matrix driver groups matrices by shape, cuts them into chunks
-and deals those to pool threads.  A thread streams each chunk one target
-column at a time: one ``cdist`` writes that column's row of cells into one
-half of the block it owns for the call, and
+The distance-matrix driver groups the seen matrices by shape and deals
+work items, one seen group and one target each, to pool threads.  A thread
+streams each item one target column at a time: one ``cdist`` writes that
+column's row of cells into one half of the block it owns for the call, and
 :func:`warpmatch.dtw.accumulate_tables` accumulates it against the row above,
 in the other half.  The last row's last cells feed the hierarchical level
-that :func:`warpmatch.dpw.two_level_tables` also runs, so every entry equals
-``dpw`` bit for bit, for any worker count.
+that :func:`warpmatch.dpw.dpw` also runs, so every entry equals ``dpw`` bit
+for bit, for any worker count.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .sloma import MatchedPairSet, run_sloma
 
 # Cap on one worker's two rows of cells (float64 count, 8 MiB), unless one seen
 # matrix against one target needs more (2 * He * Ws * Hs floats).  Each worker
-# gets one block of the largest chunk's size per call and reuses it for all
-# its chunks, so a call holds ``workers`` blocks.
+# gets one block of the largest item's size per call and reuses it for all
+# its items, so a call holds ``workers`` blocks.
 _CHUNK_BUDGET = 1 << 20
 
 
@@ -79,18 +79,11 @@ class SwimStep:
 # ---------------------------------------------------------------------------
 # Distance-matrix driver
 
-def _by_shape(arrs) -> dict[tuple, list[int]]:
-    groups: dict[tuple, list[int]] = {}
-    for i, arr in enumerate(arrs):
-        groups.setdefault(arr.shape[:2], []).append(i)
-    return groups
-
-
 def dpw_distance_matrix(seen, emerging, workers: int = 1) -> np.ndarray:
     """Alignment distance between every seen and every emerging matrix.
 
     Entry (i, j) equals ``dpw(seen[i], emerging[j])[0]`` exactly; evaluation
-    order, batching and the worker count never change the result.  Chunks
+    order, batching and the worker count never change the result.  Items
     are dealt round-robin to ``workers`` threads, the calling thread being
     the first (numpy and ``cdist`` release the GIL); each thread reuses one
     block of two rows of cells and fills disjoint entries.
@@ -103,41 +96,40 @@ def dpw_distance_matrix(seen, emerging, workers: int = 1) -> np.ndarray:
     channels = {a.shape[2] for a in arrs_a} | {b.shape[2] for b in arrs_b}
     if len(channels) != 1:
         raise ValidationError(f"channel mismatch across matrices: {sorted(channels)}")
-    chunks = []  # (seen indices, their column_rows, emerging indices)
+    groups: dict[tuple, list[int]] = {}
+    for i, arr in enumerate(arrs_a):
+        groups.setdefault(arr.shape[:2], []).append(i)
+    he_max = max(b.shape[0] for b in arrs_b)
+    items = []  # (seen indices, their column_rows, emerging index)
     block_size = 0
-    groups_b = _by_shape(arrs_b)
-    he_max = max(he for he, _ in groups_b)
-    for (hs, ws), ia in _by_shape(arrs_a).items():
+    for (hs, ws), ia in groups.items():
         # Seen sub-groups whose two rows of cells for one target fit the budget.
         sub = max(1, _CHUNK_BUDGET // (2 * he_max * ws * hs))
         for part in (ia[k:k + sub] for k in range(0, len(ia), sub)):
             rows_a = column_rows(np.stack([arrs_a[i] for i in part]))
-            for (he, we), jb in groups_b.items():
-                step = max(1, _CHUNK_BUDGET // (2 * he * len(rows_a)))
-                chunks += [(part, rows_a, jb[k:k + step]) for k in range(0, len(jb), step)]
-                block_size = max(block_size, 2 * min(step, len(jb)) * he * len(rows_a))
+            items += [(part, rows_a, j) for j in range(len(arrs_b))]
+            block_size = max(block_size, 2 * he_max * len(rows_a))
     out = np.empty((len(arrs_a), len(arrs_b)))
 
     def fill(part, block):
-        for ia, rows_a, jb in part:
-            (hs, ws), (he, we) = arrs_a[ia[0]].shape[:2], arrs_b[jb[0]].shape[:2]
-            cols_b = column_rows(np.stack([arrs_b[j] for j in jb])).reshape(we, len(jb) * he, -1)
-            size = len(jb) * he * len(rows_a)
+        for ia, rows_a, j in part:
+            hs, ws = arrs_a[ia[0]].shape[:2]
+            size = arrs_b[j].shape[0] * len(rows_a)
             halves = block[:size], block[size:2 * size]
             prev = None
             # One target column a step: its row of cells goes into one half of
             # the block and accumulates against the row above, in the other.
-            for i, col in enumerate(cols_b):
-                costs = halves[i % 2].reshape(len(col), len(rows_a))
+            for w, col in enumerate(arrs_b[j].transpose(1, 0, 2)):
+                costs = halves[w % 2].reshape(len(col), len(rows_a))
                 cdist(col, rows_a, out=costs)
                 prev = accumulate_tables(_row_pair_volume(costs, 1, ws), prev=prev)[0]
-            out[np.ix_(ia, jb)] = _hier_tables(prev[-1], len(ia), hs, len(jb), he)[-1, -1]
+            out[ia, j] = _hier_tables(prev[-1], hs)[-1, -1]
 
-    workers = min(workers, len(chunks))
+    workers = min(workers, len(items))
     blocks = [np.empty(block_size) for _ in range(workers)]
     with ThreadPoolExecutor(workers) as pool:
-        done = pool.map(fill, [chunks[w::workers] for w in range(1, workers)], blocks[1:])
-        fill(chunks[::workers], blocks[0])
+        done = pool.map(fill, [items[w::workers] for w in range(1, workers)], blocks[1:])
+        fill(items[::workers], blocks[0])
         list(done)
     return out
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .matrix import Dataset, FeatureMatrix, _check_fields
+from .matrix import Dataset, FeatureMatrix, _check_fields, _check_type
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,7 @@ def gen_task(cfg: SynthConfig):
     ``truth`` maps each emerging class id to its seen class id (here the
     identity bijection on 0..N-1).  Deterministic per seed.
     """
+    _check_type(cfg, SynthConfig, "cfg")
     rng = np.random.default_rng([cfg.seed, 0])
     if cfg.map_kind == "affine_sigmoid":
         gains = rng.uniform(1.0, max(1.0001, cfg.map_gain), size=cfg.channels)

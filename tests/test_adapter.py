@@ -218,6 +218,16 @@ class TestTraining:
         with pytest.raises(DivergenceError):
             train_on_pairs(init_adapter(2, 4), (x, y), TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("bad", [np.array([["a", "b"], ["c", "d"]]),
+                                     np.array([[0.1, 0.2], [0.3, 0.4]]) + 1j,
+                                     np.array([[0.1, None], [0.3, 0.4]], dtype=object)],
+                             ids=["str", "complex", "object"])
+    def test_non_numeric_pairs_rejected(self, bad):
+        good = np.array([[0.2, 0.1], [0.4, 0.3]])
+        for pairs in ((bad, good), (good, bad)):
+            with pytest.raises(ValidationError, match="^pairs must be numeric, got dtype"):
+                train_on_pairs(init_adapter(2, 4), pairs, TrainConfig(epochs=1))
+
     def test_lr_decay_shrinks_updates(self):
         rng = np.random.default_rng(10)
         x = rng.uniform(0.1, 0.9, (32, 2))

@@ -14,14 +14,14 @@ from warpmatch import (
     toy_pair,
     validate_hipa,
 )
-from warpmatch.dpw import HiPa, PathNode, column_rows, two_level_tables
+from warpmatch.dpw import HiPa, PathNode
 
 # By import path: the package's `dpw` attribute is the function, not the module.
 dpw_module = import_module("warpmatch.dpw")
 
 
 from oracles import (brute_dpw_min, dtw_distance, enum_paths_rec, enumerate_hipas,
-                     lattice_paths)
+                     lattice_paths, reference_accumulate_tables)
 
 
 def count_paths_rec(n, m, _memo={}):
@@ -146,33 +146,43 @@ class TestDpwDistance:
                 assert np.array_equal(tables.row_table(h, e), row_pair.row_table(0, 0))
 
 
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 class TestTwoLevelTables:
-    def test_batch_tables_equal_per_pair_dpw(self):
-        self._check_batch_against_dpw()
-
     def test_strided_cells_equal_per_pair_dpw(self, monkeypatch):
-        """Blocks above the copy cap accumulate in place, in strided cells."""
-        monkeypatch.setattr(dpw_module, "_CONTIGUOUS_MAX", 0)
-        self._check_batch_against_dpw()
-
-    @staticmethod
-    def _check_batch_against_dpw():
+        """Blocks above the copy cap accumulate in place, in strided cells of
+        the cost block, and give the default path's tables and the cell-by-cell
+        oracle's, bit for bit, 1-row and 1-column shapes included."""
         rng = np.random.default_rng(15)
-        hs, ws, he, we, c = 3, 4, 2, 5, 3
-        sources = rng.uniform(0, 5, (2, hs, ws, c))
-        targets = rng.uniform(0, 5, (3, he, we, c))
-        row_acc, hier_acc = two_level_tables(
-            cdist(targets.reshape(-1, c), column_rows(sources)),
-            2, (hs, ws), 3, (he, we))
-        assert row_acc.shape == (ws, we, 2 * hs, 3 * he)
-        assert hier_acc.shape == (hs, he, 2, 3)
-        for s in range(2):
-            for t in range(3):
-                d, tables = dpw(sources[s], targets[t])
-                assert hier_acc[-1, -1, s, t] == d
-                assert np.array_equal(hier_acc[:, :, s, t], tables.hier_acc)
-                block = row_acc[:, :, s * hs:(s + 1) * hs, t * he:(t + 1) * he]
-                assert np.array_equal(block, tables.row_tables)
+        c = 3
+        shapes = [((3, 4), (2, 5)), ((1, 4), (3, 5)), ((3, 1), (2, 4)), ((2, 3), (1, 1)),
+                  ((1, 1), (1, 6)), ((4, 1), (1, 3)), ((1, 5), (4, 1))]
+        cases = [(rng.uniform(0, 5, (*s, c)), rng.uniform(0, 5, (*e, c))) for s, e in shapes]
+        default = [dpw(a, b)[1] for a, b in cases]
+        blocks = []
+        real = dpw_module.cdist
+
+        def recording(*args):
+            blocks.append(real(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(dpw_module, "cdist", recording)
+        monkeypatch.setattr(dpw_module, "_CONTIGUOUS_MAX", 0)
+        for (a, b), want in zip(cases, default):
+            (hs, ws, _), (he, we, _) = a.shape, b.shape
+            d, tables = dpw(a, b)
+            assert np.shares_memory(tables.row_tables, blocks[-1])
+            assert d == want.distance
+            assert np.array_equal(bits(tables.row_tables), bits(want.row_tables))
+            assert np.array_equal(bits(tables.hier_acc), bits(want.hier_acc))
+            # Source first: vol[i, j, h, f] pairs element i of row h of a with j of row f of b.
+            vol = cdist(b.reshape(-1, c), a.reshape(-1, c)).reshape(he, we, hs, ws)
+            vol = reference_accumulate_tables(vol.transpose(3, 1, 2, 0).copy())
+            hier = reference_accumulate_tables(vol[-1, -1, :, :, None].copy())[:, :, 0]
+            assert np.array_equal(bits(tables.row_tables), bits(vol))
+            assert np.array_equal(bits(tables.hier_acc), bits(hier))
 
 
 class TestOptimalHipa:

@@ -1,20 +1,12 @@
 """The DP kernel, DTW of two element rows (dpw on one-row matrices) and its backtrack."""
 
-from importlib import import_module
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.spatial.distance import cdist
 
 from oracles import reference_accumulate_tables, reference_dtw_path
 from warpmatch import ValidationError, dpw, dtw_path
-from warpmatch.dpw import column_rows, two_level_tables
 from warpmatch.dtw import accumulate_tables
-
-# By import path: the package's `dpw` attribute is the function, not the module.
-dpw_module = import_module("warpmatch.dpw")
-dtw_module = import_module("warpmatch.dtw")
 
 
 def row_dtw(row_a, row_b):
@@ -182,7 +174,8 @@ def assert_same_tables(vol):
 
 class TestAccumulateTables:
     @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 7, 4), (7, 3, 4), (10, 10, 5),
-                                       (14, 9, 2), (2, 9, 1), (9, 2, 1)])
+                                       (14, 9, 2), (2, 9, 1), (9, 2, 1), (9, 11, 3, 4),
+                                       (11, 9, 12)])
     @pytest.mark.parametrize("quantised", [False, True], ids=["random", "ties"])
     def test_equals_cell_by_cell_oracle(self, shape, quantised):
         rng = np.random.default_rng(list(shape))
@@ -208,33 +201,6 @@ class TestAccumulateTables:
     @pytest.mark.parametrize("batch", [(5,), (3, 4)], ids=["one_axis", "two_axes"])
     def test_trailing_batch_axes(self, batch):
         assert_same_tables(np.random.default_rng(2).uniform(0, 3, (6, 8, *batch)))
-
-    @pytest.mark.parametrize("budget", [1, 2 * 12, 5 * 12], ids=["one_cell", "two_rows",
-                                                                  "five_rows"])
-    def test_budget_splits_diagonals(self, monkeypatch, budget):
-        monkeypatch.setattr(dtw_module, "_BUDGET", budget)
-        rng = np.random.default_rng(3)
-        assert_same_tables(rng.uniform(0, 3, (9, 11, 3, 4)))
-        assert_same_tables(np.round(rng.uniform(0, 3, (11, 9, 12))))
-
-    def test_strided_two_level_layout_in_place(self, monkeypatch):
-        """The row level accumulates in the cost block itself, as two_level_tables lays it out."""
-        monkeypatch.setattr(dpw_module, "_CONTIGUOUS_MAX", 0)
-        rng = np.random.default_rng(4)
-        (n_s, hs, ws), (n_e, he, we), c = (2, 3, 4), (3, 2, 5), 3
-        sources = rng.uniform(0, 5, (n_s, hs, ws, c))
-        targets = rng.uniform(0, 5, (n_e, he, we, c))
-        costs = cdist(targets.reshape(-1, c), column_rows(sources))
-        want = costs.copy()
-        vol = want.reshape(n_e * he, we, ws, n_s * hs).transpose(1, 2, 0, 3)
-        assert vol.strides[0] == ws * vol.strides[1] and not vol.flags.c_contiguous
-        reference_accumulate_tables(vol)
-        row_acc, hier_acc = two_level_tables(costs, n_s, (hs, ws), n_e, (he, we))
-        assert np.array_equal(bits(costs), bits(want))
-        assert np.shares_memory(row_acc, costs)
-        hier = vol[-1, -1].reshape(n_e, he, n_s, hs).transpose(3, 1, 2, 0).copy()
-        reference_accumulate_tables(hier.reshape(hs, he, -1))
-        assert np.array_equal(bits(hier_acc), bits(hier))
 
     @pytest.mark.parametrize("shape", [(1, 1, 3), (1, 6, 3), (6, 1, 3), (5, 7, 4), (9, 4, 2, 3),
                                        (1, 1), (1, 5), (5, 1), (6, 8)])

@@ -30,15 +30,19 @@ from warpmatch import (
     dpw,
     dpw_distance_matrix,
     dtw_path,
+    gen_task,
     init_adapter,
     knn_baseline,
     match_topk,
     optimal_hipa,
     param_delta,
     rank_report,
+    report_csv_lines,
+    report_json,
     run_sloma,
     run_swim,
     save_adapter,
+    save_dataset,
     train_on_pairs,
     validate_hipa,
 )
@@ -310,6 +314,10 @@ def wrong_object_calls(tmp_path):
         "run_swim.seen": lambda: run_swim(5, mats, SwimConfig(max_sloma_iters=0)),
         "run_swim.cfg": lambda: run_swim(mats, mats, None),
         "run_sloma.cfg": lambda: sloma(((0, 0),), cfg=None, max_iters=0),
+        "gen_task.cfg": lambda: gen_task(None),
+        "save_dataset.dataset": lambda: save_dataset(None, tmp_path / "out"),
+        "report_json.report": lambda: report_json(None),
+        "report_csv_lines.report": lambda: report_csv_lines(None),
     }
 
 
@@ -339,6 +347,10 @@ WRONG_OBJECTS = {
     "run_swim.seen": "seen must be a sequence of feature matrices, got int",
     "run_swim.cfg": "cfg must be of type SwimConfig, got NoneType",
     "run_sloma.cfg": "cfg must be of type TrainConfig, got NoneType",
+    "gen_task.cfg": "cfg must be of type SynthConfig, got NoneType",
+    "save_dataset.dataset": "dataset must be of type Dataset, got NoneType",
+    "report_json.report": "report must be of type MatchReport, got NoneType",
+    "report_csv_lines.report": "report must be of type MatchReport, got NoneType",
 }
 
 
@@ -346,3 +358,4 @@ WRONG_OBJECTS = {
 def test_wrong_object_rejected(case, tmp_path):
     with pytest.raises(ValidationError, match=f"^{re.escape(WRONG_OBJECTS[case])}$"):
         wrong_object_calls(tmp_path)[case]()
+    assert list(tmp_path.iterdir()) == []  # rejected before writing anything

@@ -83,7 +83,7 @@ class TestDistanceMatrix:
                 assert chunked[i, j] == dpw(seen[i], emerging[j])[0]
 
     def test_parallel_equals_serial(self, monkeypatch):
-        # One target per chunk, so the six chunks spread over the threads;
+        # One seen matrix and one target per item, so 36 items spread over the threads;
         # a short switch interval makes the threads interleave often.
         monkeypatch.setattr(swim, "_CHUNK_BUDGET", 1)
         rng = np.random.default_rng(3)
@@ -110,7 +110,7 @@ class TestDistanceMatrix:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_one_cost_block_per_worker(self, monkeypatch, workers):
-        """Twenty-four one-pair chunks, one cdist per target column (three
+        """Twenty-four one-pair items, one cdist per target column (three
         each), reuse one cost block per worker."""
         monkeypatch.setattr(swim, "_CHUNK_BUDGET", 1)
         blocks = []
@@ -164,7 +164,7 @@ class TestDistanceMatrix:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_calling_thread_fills_first_part(self, monkeypatch, workers):
-        """The caller runs every workers-th chunk and the pool the rest, so
+        """The caller runs every workers-th item and the pool the rest, so
         one worker starts no thread."""
         monkeypatch.setattr(swim, "_CHUNK_BUDGET", 1)
         threads = []
@@ -181,6 +181,24 @@ class TestDistanceMatrix:
         d = dpw_distance_matrix(seen, emerging, workers)
         assert threads.count(threading.get_ident()) == 3 * math.ceil(24 / workers)
         assert len(set(threads)) <= workers
+        assert np.array_equal(d, dpw_distance_matrix(seen, emerging))
+
+    def test_small_matrix_uses_every_worker(self, monkeypatch):
+        """One work item per target, so a 20x20 matrix at the default budget
+        spreads over both threads."""
+        threads = set()
+        real = swim.cdist
+
+        def recording(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(swim, "cdist", recording)
+        rng = np.random.default_rng(7)
+        seen = [rng.uniform(0, 1, (10, 10, 8)) for _ in range(20)]
+        emerging = [rng.uniform(0, 1, (10, 10, 8)) for _ in range(20)]
+        d = dpw_distance_matrix(seen, emerging, workers=2)
+        assert len(threads) == 2
         assert np.array_equal(d, dpw_distance_matrix(seen, emerging))
 
 
