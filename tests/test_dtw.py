@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.spatial.distance import cdist
 
 from oracles import reference_accumulate_tables, reference_dtw_path
 from warpmatch import ValidationError, dpw, dtw_path
+from warpmatch.dpw import _hier_tables, _row_pair_volume, column_rows
 from warpmatch.dtw import accumulate_tables
 
 
@@ -232,6 +234,28 @@ class TestAccumulateTables:
         for top in range(rows, len(vol), rows):
             accumulate_tables(vol[top:top + rows], prev=vol[top - 1])
         assert np.array_equal(bits(vol), bits(want))
+
+    def test_strided_two_level_layout_in_place(self):
+        """The row level accumulates in the cost block itself, as _row_pair_volume
+        lays it out for stacked sources and targets, and _hier_tables gives each
+        target's hierarchical tables from its rows of the last cell."""
+        rng = np.random.default_rng(4)
+        (n_s, hs, ws), (n_e, he, we), c = (2, 3, 4), (3, 2, 5), 3
+        sources = rng.uniform(0, 5, (n_s, hs, ws, c))
+        targets = rng.uniform(0, 5, (n_e, he, we, c))
+        costs = cdist(targets.reshape(-1, c), column_rows(sources))
+        want = costs.copy()
+        vol = want.reshape(n_e * he, we, ws, n_s * hs).transpose(1, 2, 0, 3)
+        assert vol.strides[0] == ws * vol.strides[1] and not vol.flags.c_contiguous
+        reference_accumulate_tables(vol)
+        row_acc = accumulate_tables(_row_pair_volume(costs, we, ws))
+        assert np.array_equal(bits(costs), bits(want))
+        assert np.shares_memory(row_acc, costs)
+        hier = vol[-1, -1].reshape(n_e, he, n_s, hs).transpose(3, 1, 2, 0).copy()
+        reference_accumulate_tables(hier.reshape(hs, he, -1))
+        for t in range(n_e):
+            got = _hier_tables(row_acc[-1, -1, t * he:(t + 1) * he], hs)
+            assert np.array_equal(bits(got), bits(hier[:, :, :, t]))
 
     @pytest.mark.parametrize("prev_shape", [(6, 3), (5, 1), (5, 3, 1)])
     def test_prev_of_wrong_shape_raises(self, prev_shape):
