@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DivergenceError, FormatError, ValidationError
 from .matrix import (FeatureMatrix, _as_float_array, _as_index, _as_pairs, _check_fields,
-                     _check_type, as_feature_array)
+                     _check_type, _container, _finite_f8, as_feature_array)
 
 CKPT_MAGIC = b"LFA1"
 
@@ -261,6 +260,8 @@ def train_on_pairs(params: AdapterParams, pairs, cfg: TrainConfig,
     """
     _check_type(params, AdapterParams, "params")
     _check_type(cfg, TrainConfig, "cfg")
+    if on_epoch is not None and not callable(on_epoch):
+        raise ValidationError(f"on_epoch must be callable or None, got {on_epoch!r}")
     if not (isinstance(pairs, tuple) and len(pairs) == 2
             and all(isinstance(a, np.ndarray) and a.ndim == 2 for a in pairs)):
         raise ValidationError("pairs must be a tuple (X, Y) of two (n, C) arrays")
@@ -381,12 +382,7 @@ def load_adapter(path) -> AdapterParams:
     Malformed files, including non-finite weights and layer dimensions that
     do not chain from C back to C, raise FormatError naming the path.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < 8:
-        raise FormatError(f"{path}: truncated header at byte offset {len(raw)}")
-    if raw[:4] != CKPT_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r} at byte offset 0")
-    (n_layers,) = struct.unpack_from("<I", raw, 4)
+    raw, (n_layers,) = _container(path, CKPT_MAGIC, 1)
     if n_layers == 0:
         raise FormatError(f"{path}: zero layer count at byte offset 4")
     pos = 8
@@ -399,16 +395,9 @@ def load_adapter(path) -> AdapterParams:
             raise FormatError(f"{path}: zero layer dimension at byte offset {pos}")
         if layers and rows != layers[-1][1].shape[0]:
             raise FormatError(f"{path}: layer dimensions do not chain at byte offset {pos}")
-        pos += 8
-        count = rows * cols + cols
-        if len(raw) < pos + count * 8:
-            raise FormatError(f"{path}: truncated payload at byte offset {len(raw)}")
-        flat = np.frombuffer(raw, dtype="<f8", count=count, offset=pos)
-        bad = np.flatnonzero(~np.isfinite(flat))
-        if bad.size:
-            raise FormatError(f"{path}: non-finite value at byte offset {pos + 8 * int(bad[0])}")
+        flat = _finite_f8(raw, pos + 8, rows * cols + cols, path)
         layers.append((flat[:rows * cols].reshape(rows, cols), flat[rows * cols:]))
-        pos += count * 8
+        pos += 8 + flat.nbytes
     if pos != len(raw):
         raise FormatError(f"{path}: trailing data at byte offset {pos}")
     if layers[0][0].shape[0] != layers[-1][1].shape[0]:

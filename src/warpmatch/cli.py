@@ -26,7 +26,8 @@ from .dpw import _flatten, _pair_costs, _walk, dpw
 from .errors import DivergenceError, FormatError, ValidationError
 from .evaluate import (_check_datasets, knn_baseline, match_topk, rank_report,
                        report_csv_lines, report_json)
-from .matrix import _as_index, load_dataset, load_matrix, load_matrix_csv, save_dataset, text_lines
+from .matrix import (_as_index, _csv_lines, _write_lines, load_dataset, load_matrix,
+                     load_matrix_csv, save_dataset, text_lines)
 from .swim import SwimConfig, run_swim
 from .synth import SynthConfig, gen_task
 
@@ -52,10 +53,8 @@ _SCHEMA = {f.name: (_PARSERS[get_type_hints(cls)[f.name]], f.default)
            for f in _fields(cls)} | {"topk": (int, 5)}
 
 
-def _parse_config_line(line, source):
-    s = line.strip()
-    if not s or s.startswith("#"):
-        return None
+def _parse_config_line(s, source):
+    """``(key, value)`` of the stripped content line ``s``, checked and parsed."""
     key, sep, value = s.partition("=")
     if not sep:
         raise ValidationError(f"{source}: expected 'key = value', got {s!r}")
@@ -74,15 +73,12 @@ def load_run_config(path=None, overrides=()) -> dict:
     """Resolve defaults, then file values, then --set overrides."""
     cfg = {k: d for k, (_, d) in _SCHEMA.items()}
     if path is not None:
-        for lineno, line in text_lines(path):
-            item = _parse_config_line(line, f"{path}:{lineno}")
-            if item:
-                cfg[item[0]] = item[1]
+        cfg.update(_parse_config_line(s, f"{path}:{n}") for n, s in text_lines(path))
     for ov in overrides:
-        item = _parse_config_line(ov, f"--set {ov!r}")
-        if item is None:
+        s = ov.strip()
+        if not s or s.startswith("#"):
             raise ValidationError(f"--set {ov!r}: expected 'key=value'")
-        cfg[item[0]] = item[1]
+        cfg.update([_parse_config_line(s, f"--set {ov!r}")])
     return cfg
 
 
@@ -103,10 +99,6 @@ def _load_any_matrix(path):
     if str(path).lower().endswith(".csv"):
         return load_matrix_csv(path)
     return load_matrix(path)
-
-
-def _write_lines(path: Path, lines) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _configured(args) -> tuple[int, SwimConfig, SynthConfig, Path]:
@@ -133,16 +125,12 @@ def _load_datasets(args, k: int):
 def _write_traces(outdir: Path, steps) -> None:
     """Write trace.csv (one line per outer iteration) and sloma_trace.csv
     (one line per inner iteration, tagged with its outer iteration T)."""
-    outer = ["T,n,top1,top5"]
-    inner = ["T,t,match_cost,train_loss,param_delta"]
-    for step in steps:
-        top1 = "" if step.top1 is None else repr(step.top1)
-        top5 = "" if step.top5 is None else repr(step.top5)
-        outer.append(f"{step.iteration},{step.n_pairs},{top1},{top5}")
-        inner += [f"{step.iteration},{s.iteration},{s.match_cost!r},{s.train_loss!r},"
-                  f"{s.weight_delta!r}" for s in step.inner]
-    _write_lines(outdir / "trace.csv", outer)
-    _write_lines(outdir / "sloma_trace.csv", inner)
+    _write_lines(outdir / "trace.csv", _csv_lines(
+        "T,n,top1,top5", [(t.iteration, t.n_pairs, t.top1, t.top5) for t in steps]))
+    _write_lines(outdir / "sloma_trace.csv", _csv_lines(
+        "T,t,match_cost,train_loss,param_delta",
+        [(t.iteration, s.iteration, s.match_cost, s.train_loss, s.weight_delta)
+         for t in steps for s in t.inner]))
 
 
 def _write_reports(args, outdir: Path, seen, emerging, params, report) -> None:
@@ -173,10 +161,8 @@ def cmd_dpw_align(args) -> int:
     a = _load_any_matrix(args.matrix_a)
     b = _load_any_matrix(args.matrix_b)
     idx = _flatten(_walk(dpw(a, b)[1]))
-    lines = ["hs,ws,he,we,cost"]
-    for hs, ws, he, we, cost in zip(*((i + 1).tolist() for i in idx),
-                                    _pair_costs(a.data, b.data, *idx).tolist()):
-        lines.append(f"{hs},{ws},{he},{we},{cost!r}")
+    lines = _csv_lines("hs,ws,he,we,cost", zip(*((i + 1).tolist() for i in idx),
+                                               _pair_costs(a.data, b.data, *idx).tolist()))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_lines(out, lines)
@@ -189,9 +175,8 @@ def cmd_synth_gen(args) -> int:
     seen, emerging, truth = gen_task(synth_cfg)
     seen_manifest = save_dataset(seen, outdir)
     emerging_manifest = save_dataset(emerging, outdir)
-    truth_lines = ["emerging_class_id,seen_class_id"]
-    truth_lines += [f"{e},{s}" for e, s in sorted(truth.items())]
-    _write_lines(outdir / "truth.csv", truth_lines)
+    _write_lines(outdir / "truth.csv",
+                 _csv_lines("emerging_class_id,seen_class_id", sorted(truth.items())))
     print(f"wrote {seen.size} classes to {seen_manifest} and {emerging_manifest}")
     return 0
 
@@ -204,10 +189,10 @@ def cmd_match_run(args) -> int:
         class_ids=(seen.class_ids, emerging.class_ids), workers=args.workers)
 
     final = steps[-1]
-    lines = ["emerging_id,seen_id,rank1_distance"]
-    for (k, l), d in zip(final.pairs, final.pair_distances):
-        lines.append(f"{emerging.class_ids[l]},{seen.class_ids[k]},{d!r}")
-    _write_lines(outdir / "assignment.csv", lines)
+    _write_lines(outdir / "assignment.csv", _csv_lines(
+        "emerging_id,seen_id,rank1_distance",
+        [(emerging.class_ids[l], seen.class_ids[k], d)
+         for (k, l), d in zip(final.pairs, final.pair_distances)]))
     _write_traces(outdir, steps)
     if not params.pass_through:  # never trained: LFA1 cannot hold a pass-through adapter
         save_adapter(params, outdir / "adapter.lfa")

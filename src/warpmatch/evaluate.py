@@ -20,7 +20,7 @@ import numpy as np
 
 from .adapter import AdapterParams, adapt_matrix
 from .errors import ValidationError
-from .matrix import Dataset, _as_float_array, _as_index, _check_type
+from .matrix import Dataset, _as_float_array, _as_index, _check_type, _csv_lines
 from .swim import dpw_distance_matrix, rank_columns
 
 
@@ -140,10 +140,5 @@ def report_json(report: MatchReport) -> str:
 def report_csv_lines(report: MatchReport) -> list[str]:
     """Summary metrics as `metric,value` lines."""
     _check_type(report, MatchReport, "report")
-    return [
-        "metric,value",
-        f"top1,{report.top1!r}",
-        f"top5,{report.top5!r}",
-        f"k,{report.k}",
-        f"items,{len(report.items)}",
-    ]
+    return _csv_lines("metric,value", [("top1", report.top1), ("top5", report.top5),
+                                       ("k", report.k), ("items", len(report.items))])

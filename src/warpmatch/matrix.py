@@ -5,6 +5,11 @@ as an immutable float64 array of shape (H, W, C).  Matrices travel on disk
 in the FMX container (little-endian, explicit magic and version) and in
 line-oriented dataset manifests; plain CSV is accepted for scalar (C=1)
 matrices.
+
+Both binary containers, FMX and the adapter's LFA1, are read by one checked
+reader (:func:`_container`, :func:`_finite_f8`); every CSV-style table,
+manifests included, comes from one formatter (:func:`_csv_lines`); every
+text input is read by :func:`text_lines`.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import numpy as np
 from .errors import FormatError, ValidationError
 
 FMX_MAGIC = b"FMX1"
-_HEADER = struct.Struct("<4sIII")
 
 
 def as_feature_array(m) -> np.ndarray:
@@ -68,6 +72,13 @@ def _check_type(value, cls, name: str) -> None:
     """Raise ValidationError naming ``name`` unless ``value`` is a ``cls``."""
     if not isinstance(value, cls):
         raise ValidationError(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
+
+
+def _check_file_name(value, name: str) -> None:
+    """Raise ValidationError naming ``name`` unless ``value`` is a plain file
+    name: a str other than "", "." and "..", with no '/', '\\' or NUL."""
+    if not isinstance(value, str) or value in ("", ".", "..") or set(value) & set("/\\\0"):
+        raise ValidationError(f"{name} must be a plain file name, got {value!r}")
 
 
 def _as_matrix_list(items, name: str) -> list:
@@ -167,55 +178,73 @@ class FeatureMatrix:
 # ---------------------------------------------------------------------------
 # FMX binary container
 
+def _container(path, magic: bytes, n: int) -> tuple[bytes, tuple]:
+    """``path``'s bytes and the ``n`` little-endian u32 header fields after its
+    4-byte ``magic``; a short header or another magic raises FormatError."""
+    raw = Path(path).read_bytes()
+    if len(raw) < 4 + 4 * n:
+        raise FormatError(f"{path}: truncated header at byte offset {len(raw)}")
+    if raw[:4] != magic:
+        raise FormatError(f"{path}: bad magic {raw[:4]!r} at byte offset 0")
+    return raw, struct.unpack_from(f"<{n}I", raw, 4)
+
+
+def _finite_f8(raw: bytes, pos: int, count: int, path) -> np.ndarray:
+    """The ``count`` little-endian float64 values of ``raw`` from byte ``pos``;
+    a short file or a non-finite value raises FormatError naming its offset."""
+    if len(raw) < pos + 8 * count:
+        raise FormatError(f"{path}: truncated payload at byte offset {len(raw)}")
+    flat = np.frombuffer(raw, dtype="<f8", count=count, offset=pos)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise FormatError(f"{path}: non-finite value at byte offset {pos + 8 * int(bad[0])}")
+    return flat
+
+
 def save_matrix(m, path) -> None:
     """Write a feature matrix to an FMX container file."""
     arr = as_feature_array(m)
-    h, w, c = arr.shape
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(FMX_MAGIC, h, w, c))
+        f.write(FMX_MAGIC + struct.pack("<III", *arr.shape))
         f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_matrix(path) -> FeatureMatrix:
     """Read a feature matrix from an FMX container file.
 
-    Malformed files raise FormatError naming the offending byte offset.
+    Malformed files raise FormatError naming the offending byte offset;
+    trailing data is reported before a short or non-finite payload.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header at byte offset {len(raw)}")
-    magic, h, w, c = _HEADER.unpack_from(raw)
-    if magic != FMX_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at byte offset 0")
+    raw, (h, w, c) = _container(path, FMX_MAGIC, 3)
     for offset, name, value in ((4, "H", h), (8, "W", w), (12, "C", c)):
         if value == 0:
             raise FormatError(f"{path}: zero {name} in header at byte offset {offset}")
-    need = h * w * c * 8
-    payload = raw[_HEADER.size:]
-    if len(payload) < need:
-        raise FormatError(
-            f"{path}: payload truncated at byte offset {_HEADER.size + len(payload)}"
-            f" (expected {need} payload bytes, found {len(payload)})"
-        )
-    if len(payload) > need:
-        raise FormatError(f"{path}: trailing data at byte offset {_HEADER.size + need}")
-    flat = np.frombuffer(payload, dtype="<f8")
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise FormatError(
-            f"{path}: non-finite value at byte offset {_HEADER.size + 8 * int(bad[0])}"
-        )
-    return FeatureMatrix(flat.reshape(h, w, c))
+    end = 16 + 8 * h * w * c
+    if len(raw) > end:
+        raise FormatError(f"{path}: trailing data at byte offset {end}")
+    return FeatureMatrix(_finite_f8(raw, 16, h * w * c, path).reshape(h, w, c))
 
 
 def text_lines(path):
-    """Numbered lines of a UTF-8 text file, read as text mode reads them;
-    a byte that is not UTF-8 raises FormatError naming its offset."""
+    """Numbered content lines of a UTF-8 text file, stripped, as text mode
+    reads them; blank lines and lines starting with '#' are skipped.  A byte
+    that is not UTF-8 raises FormatError naming its offset."""
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
-    return enumerate(io.StringIO(text, newline=None), 1)
+    for lineno, line in enumerate(io.StringIO(text, newline=None), 1):
+        if (s := line.strip()) and not s.startswith("#"):
+            yield lineno, s
+
+
+def _csv_lines(header: str, rows) -> list[str]:
+    """``header``, then one comma-joined line per row, each value written by ``str``."""
+    return [header, *(",".join(map(str, row)) for row in rows)]
+
+
+def _write_lines(path, lines) -> None:
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_matrix_csv(path) -> FeatureMatrix:
@@ -225,10 +254,7 @@ def load_matrix_csv(path) -> FeatureMatrix:
     """
     rows = []
     width = None
-    for lineno, line in text_lines(path):
-        s = line.strip()
-        if not s or s.startswith("#"):
-            continue
+    for lineno, s in text_lines(path):
         try:
             values = [float(tok) for tok in s.split(",")]
         except ValueError as exc:
@@ -236,9 +262,8 @@ def load_matrix_csv(path) -> FeatureMatrix:
         if width is None:
             width = len(values)
         elif len(values) != width:
-            raise FormatError(
-                f"{path}:{lineno}: expected {width} values, found {len(values)}"
-            )
+            raise FormatError(f"{path}:{lineno}: expected {width} values, "
+                              f"found {len(values)}")
         rows.append(values)
     if not rows:
         raise FormatError(f"{path}: no data rows")
@@ -259,6 +284,7 @@ class Dataset:
     entries: tuple
 
     def __post_init__(self):
+        _check_file_name(self.name, "name")
         entries = tuple((_as_index(cid, "class_id"), m) for cid, m in _as_pairs(
             self.entries, "dataset entries must be (class_id, FeatureMatrix) pairs"))
         seen_ids = set()
@@ -306,21 +332,16 @@ def load_dataset(manifest_path, name: str | None = None) -> Dataset:
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     entries = []
-    for lineno, line in text_lines(manifest_path):
-        s = line.strip()
-        if not s or s.startswith("#"):
-            continue
+    for lineno, s in text_lines(manifest_path):
         head, sep, rel = s.partition(",")
         if not sep or not rel.strip() or "\0" in rel:
-            raise FormatError(
-                f"{manifest_path}:{lineno}: expected '<class_id>,<relative_path>'"
-            )
+            raise FormatError(f"{manifest_path}:{lineno}: "
+                              "expected '<class_id>,<relative_path>'")
         try:
             cid = int(head.strip())
         except ValueError:
-            raise FormatError(
-                f"{manifest_path}:{lineno}: class_id {head.strip()!r} is not an integer"
-            ) from None
+            raise FormatError(f"{manifest_path}:{lineno}: class_id {head.strip()!r} "
+                              "is not an integer") from None
         entries.append((cid, load_matrix(base / rel.strip())))
     return Dataset(name or manifest_path.stem, tuple(entries))
 
@@ -328,13 +349,13 @@ def load_dataset(manifest_path, name: str | None = None) -> Dataset:
 def save_dataset(dataset: Dataset, directory, manifest_name: str | None = None) -> Path:
     """Write every matrix as an FMX file plus a manifest; returns the manifest path."""
     _check_type(dataset, Dataset, "dataset")
+    if manifest_name is not None:
+        _check_file_name(manifest_name, "manifest_name")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest = directory / (manifest_name or f"{dataset.name}.manifest")
-    lines = [f"# modality: {dataset.name}"]
-    for cid, m in dataset.entries:
-        rel = f"{dataset.name}_{cid:04d}.fmx"
+    rows = [(cid, f"{dataset.name}_{cid:04d}.fmx") for cid in dataset.class_ids]
+    for (_, rel), m in zip(rows, dataset.matrices):
         save_matrix(m, directory / rel)
-        lines.append(f"{cid},{rel}")
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    manifest = directory / (manifest_name or f"{dataset.name}.manifest")
+    _write_lines(manifest, _csv_lines(f"# modality: {dataset.name}", rows))
     return manifest

@@ -18,16 +18,25 @@ written except ``config.resolved``, which lists every config key and so
 changes whenever a key is added or removed.  Copy the script into another
 checkout and run it there to compare that checkout's outputs with this
 one's.  It runs on any checkout that accepts its config keys and flags.  With
-``--files`` it also prints the per-file lines.  Takes about 25 s on 2 cores.
+``--files`` it also prints the per-file lines.  Takes about 15 s on 2 cores.
+
+BLAS is pinned to one thread before numpy loads, as in ``perfbench/run.py``:
+training's matmuls split differently at other BLAS thread counts, so the
+adapter, the inner-loop trace and the reports would depend on the shell's
+environment.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 

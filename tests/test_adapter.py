@@ -228,6 +228,12 @@ class TestTraining:
             with pytest.raises(ValidationError, match="^pairs must be numeric, got dtype"):
                 train_on_pairs(init_adapter(2, 4), pairs, TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("on_epoch", [5, "log"], ids=repr)
+    def test_non_callable_on_epoch_rejected(self, on_epoch):
+        x = np.array([[0.1, 0.2], [0.3, 0.4]])
+        with pytest.raises(ValidationError, match="^on_epoch must be callable or None, got "):
+            train_on_pairs(init_adapter(2, 4), (x, x), TrainConfig(epochs=1), on_epoch=on_epoch)
+
     def test_lr_decay_shrinks_updates(self):
         rng = np.random.default_rng(10)
         x = rng.uniform(0.1, 0.9, (32, 2))

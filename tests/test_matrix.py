@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,16 @@ from warpmatch import (
     FeatureMatrix,
     FormatError,
     ValidationError,
+    init_adapter,
+    load_adapter,
     load_dataset,
     load_matrix,
     load_matrix_csv,
+    save_adapter,
     save_dataset,
     save_matrix,
 )
+from warpmatch.matrix import text_lines
 
 
 class TestFeatureMatrix:
@@ -99,6 +105,55 @@ class TestFmxRoundTrip:
         p.write_bytes(p.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
             load_matrix(p)
+
+
+# container -> (writer of a valid file at a path, reader)
+CONTAINERS = {
+    "fmx": (lambda p: save_matrix(np.ones((1, 2, 1)), p), load_matrix),
+    "lfa1": (lambda p: save_adapter(init_adapter(1, 1), p), load_adapter),
+}
+NAN = np.float64(np.nan).tobytes()
+# fault -> (corruption of a valid file's bytes, its message given the valid length n)
+FAULTS = {
+    "short_header": (lambda raw: raw[:6], lambda n: "truncated header at byte offset 6"),
+    "bad_magic": (lambda raw: b"NOPE" + raw[4:], lambda n: "bad magic b'NOPE' at byte offset 0"),
+    "truncated_payload": (lambda raw: raw[:-4],
+                          lambda n: f"truncated payload at byte offset {n - 4}"),
+    "non_finite": (lambda raw: raw[:-8] + NAN,
+                   lambda n: f"non-finite value at byte offset {n - 8}"),
+    "trailing_data": (lambda raw: raw + b"\0", lambda n: f"trailing data at byte offset {n}"),
+}
+
+
+class TestContainerFaults:
+    """FMX and LFA1 share one reader, so each fault reads the same in both."""
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("container", CONTAINERS)
+    def test_fault_message(self, tmp_path, container, fault):
+        write, read = CONTAINERS[container]
+        corrupt, message = FAULTS[fault]
+        p = tmp_path / f"bad.{container}"
+        write(p)
+        raw = p.read_bytes()
+        p.write_bytes(corrupt(raw))
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{p}: {message(len(raw))}')}$"):
+            read(p)
+
+    def test_fmx_trailing_data_reported_before_non_finite(self, tmp_path):
+        p = tmp_path / "both.fmx"
+        save_matrix(np.ones((1, 2, 1)), p)
+        p.write_bytes(p.read_bytes()[:-8] + NAN + b"\0\0")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: trailing data at byte "
+                                              "offset 32$"):
+            load_matrix(p)
+
+
+class TestTextLines:
+    def test_numbered_stripped_content_lines(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_bytes(b"# head\r\n  1,2 \r\n\n   \n\t# indented\nx = 3")
+        assert list(text_lines(p)) == [(2, "1,2"), (6, "x = 3")]
 
 
 class TestCsvLoader:
@@ -200,6 +255,22 @@ class TestDataset:
         p.write_text("not-a-line\n")
         with pytest.raises(FormatError, match=":1"):
             load_dataset(p)
+
+    @pytest.mark.parametrize("name", ["../up", "a/b", "a\\b", "a\0b", "", ".", "..", None, 5],
+                             ids=repr)
+    def test_name_must_be_plain_file_name(self, tmp_path, name):
+        with pytest.raises(ValidationError, match="^name must be a plain file name, got "):
+            save_dataset(Dataset(name, ((0, FeatureMatrix(np.ones((2, 2)))),)), tmp_path / "out")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("manifest_name", ["../up.manifest", "a/b.manifest", "", 5],
+                             ids=repr)
+    def test_manifest_name_must_be_plain_file_name(self, tmp_path, manifest_name):
+        ds = Dataset("seen", ((0, FeatureMatrix(np.ones((2, 2)))),))
+        with pytest.raises(ValidationError,
+                           match="^manifest_name must be a plain file name, got "):
+            save_dataset(ds, tmp_path / "out", manifest_name)
+        assert not any(tmp_path.iterdir())
 
     def test_save_dataset_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
