@@ -13,10 +13,10 @@ only.
 A training call copies the weights into one flat float64 vector laid out
 ``W1, b1, ..., Wn, bn``; each layer's W and b are reshaped views into it,
 and the gradient and optimizer moments share that layout, so one update
-is one set of ufuncs over the whole vector.  Activation and delta buffers
-are allocated once per call and written in place.  Inference runs the
-same forward pass.  A non-finite batch loss or, at the end of an epoch, a
-non-finite weight raises ``DivergenceError``.
+is the NADAM formula written once over the whole vector.  Activation and
+delta buffers are allocated once per call and written in place.
+Inference runs the same forward pass.  A non-finite batch loss or, at the
+end of an epoch, a non-finite weight raises ``DivergenceError``.
 
 A params object can carry a ``pass_through`` flag: it then behaves as the
 identity at inference until its first training call completes, which is
@@ -173,9 +173,9 @@ class _Workspace:
     leading rows.
     """
 
-    def __init__(self, layers, rows, dropout):
-        sizes = (layers[0][0].shape[0],) + tuple(w.shape[1] for w, _ in layers)
-        self.flat = np.concatenate([a.ravel() for pair in layers for a in pair])
+    def __init__(self, params, rows, dropout):
+        sizes = params.layer_sizes
+        self.flat = np.concatenate([a.ravel() for pair in params.layers for a in pair])
         self.grad = np.empty_like(self.flat)
         self.layers = _layer_views(self.flat, sizes)
         self.grads = _layer_views(self.grad, sizes)
@@ -276,16 +276,15 @@ def train_on_pairs(params: AdapterParams, pairs, cfg: TrainConfig,
     rng = np.random.default_rng([params.seed, params.train_calls])
     batch = min(cfg.batch_size or (n if n <= 4096 else 1024), n)
     use_dropout = cfg.dropout_p > 0.0
-    ws = _Workspace(params.layers, batch, use_dropout)
+    ws = _Workspace(params, batch, use_dropout)
     if batch < n:
         xb = np.empty((batch, x.shape[1]))
         yb = np.empty((batch, y.shape[1]))
 
     flat, grad = ws.flat, ws.grad
-    m, v, s1, s2 = (np.zeros_like(flat) for _ in range(4))
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
     beta1, beta2, eps, sd = 0.9, 0.999, 1e-8, 0.004
     t, mu_product = 0, 1.0
-    final_loss = None
     for epoch in range(cfg.epochs):
         order = rng.permutation(n) if batch < n else None
         total = 0.0
@@ -308,25 +307,11 @@ def train_on_pairs(params: AdapterParams, pairs, cfg: TrainConfig,
             mu_t = beta1 * (1.0 - 0.5 * 0.96 ** (t * sd))
             mu_next = beta1 * (1.0 - 0.5 * 0.96 ** ((t + 1) * sd))
             mu_product *= mu_t
-            # Each line keeps the operation order of the per-array update
-            # (a -= lr_t * m_bar / (sqrt(v_hat) + eps)), so the bits agree.
-            np.divide(grad, 1.0 - mu_product, out=s1)            # g_hat
-            m *= beta1
-            m += np.multiply(grad, 1.0 - beta1, out=s2)
-            v *= beta2
-            np.multiply(grad, 1.0 - beta2, out=s2)
-            s2 *= grad
-            v += s2
-            np.divide(m, 1.0 - mu_product * mu_next, out=s2)     # m_hat
-            s1 *= 1.0 - mu_t
-            s2 *= mu_next
-            s1 += s2                                             # m_bar
-            np.divide(v, 1.0 - beta2 ** t, out=s2)               # v_hat
-            np.sqrt(s2, out=s2)
-            s2 += eps
-            s1 *= lr_t
-            s1 /= s2
-            flat -= s1
+            m = beta1 * m + (1.0 - beta1) * grad
+            v = beta2 * v + (1.0 - beta2) * grad * grad
+            m_bar = ((1.0 - mu_t) * (grad / (1.0 - mu_product))
+                     + mu_next * (m / (1.0 - mu_product * mu_next)))
+            flat -= lr_t * m_bar / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
             total += loss * rows
         final_loss = total / n
         if not np.isfinite(flat).all():

@@ -227,10 +227,10 @@ def load_matrix(path) -> FeatureMatrix:
 
 def text_lines(path):
     """Numbered content lines of a UTF-8 text file, stripped, as text mode
-    reads them; blank lines and lines starting with '#' are skipped.  A byte
-    that is not UTF-8 raises FormatError naming its offset."""
+    reads them; a leading BOM, blank lines and '#' lines are skipped.  A
+    byte that is not UTF-8 raises FormatError naming its file offset."""
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
     for lineno, line in enumerate(io.StringIO(text, newline=None), 1):

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from warpmatch.adapter import _Workspace
+from warpmatch.adapter import AdapterParams, _Workspace
 from warpmatch.dpw import HiPa, PathNode
 from warpmatch.errors import DivergenceError, ValidationError
 
@@ -222,7 +222,7 @@ def training_loss_and_gradients(layers, x, y, masks=None):
     per-layer (dW, db) views into one flat vector.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    ws = _Workspace(layers, x.shape[0], masks is not None)
+    ws = _Workspace(AdapterParams(tuple(layers)), x.shape[0], masks is not None)
     loss = ws.loss_and_grad(x, np.asarray(y, dtype=np.float64), masks)
     return loss, ws.grads
 

@@ -1,6 +1,6 @@
 """One SHA-256 over the files a fixed set of CLI runs writes.
 
-    python tests/output_digest.py [--files]
+    python tests/output_digest.py [--files] [--src DIR]
 
 Runs, through ``warpmatch.cli.main`` in a temporary directory:
 
@@ -15,10 +15,11 @@ Runs, through ``warpmatch.cli.main`` in a temporary directory:
 
 It prints one SHA-256 over the sorted (path, SHA-256) lines of every file
 written except ``config.resolved``, which lists every config key and so
-changes whenever a key is added or removed.  Copy the script into another
-checkout and run it there to compare that checkout's outputs with this
-one's.  It runs on any checkout that accepts its config keys and flags.  With
-``--files`` it also prints the per-file lines.  Takes about 15 s on 2 cores.
+changes whenever a key is added or removed.  ``--src DIR`` imports
+``warpmatch`` from ``DIR`` instead of this checkout's ``src/``, so
+``--src <other checkout>/src`` digests another checkout's outputs; it runs on
+any checkout that accepts its config keys and flags.  With ``--files`` it
+also prints the per-file lines.  Takes about 15 s on 2 cores.
 
 BLAS is pinned to one thread before numpy loads, as in ``perfbench/run.py``:
 training's matmuls split differently at other BLAS thread counts, so the
@@ -38,10 +39,6 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from warpmatch import cli  # noqa: E402
-
 SWIM_TASK = ("n_classes=20", "height=10", "width=10", "channels=8", "warp=0.95",
              "map_kind=affine_sigmoid", "map_gain=3.0", "noise_std=0.015",
              "n_components=4", "component_mix=0.75", "seed=13")
@@ -58,8 +55,19 @@ def _sets(settings):
     return [arg for s in settings for arg in ("--set", s)]
 
 
-def run_all(root: Path) -> None:
-    """Write every output under ``root``; exit on the first nonzero code."""
+def import_cli(src: Path):
+    """``warpmatch.cli`` imported from ``src``, never from an installed copy."""
+    if not (src / "warpmatch" / "__init__.py").is_file():
+        sys.exit(f"error: no warpmatch package under {src}")
+    sys.path.insert(0, str(src))
+    from warpmatch import cli
+    if Path(cli.__file__).resolve().parent != src / "warpmatch":
+        sys.exit(f"error: imported warpmatch from {cli.__file__}, not {src}")
+    return cli
+
+
+def run_all(root: Path, cli) -> None:
+    """Write every output under ``root`` with ``cli``; exit on the first nonzero code."""
     def run(*argv):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
@@ -91,10 +99,13 @@ def file_lines(root: Path) -> list[str]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--files", action="store_true", help="also print per-file hashes")
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                        help="directory to import warpmatch from (default: this checkout's src/)")
     args = parser.parse_args()
+    cli = import_cli(args.src.resolve())
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        run_all(root)
+        run_all(root, cli)
         lines = file_lines(root)
     if args.files:
         print("\n".join(lines))

@@ -359,6 +359,21 @@ class TestFusedEqualsReference:
         assert_same_bits(fused, reference)
         assert loss_f == loss_r
 
+    # batch_size 0 trains on the full batch up to 4,096 rows and on 1,024-row
+    # minibatches above that: 4 * 1,024 + 1 rows take 5 steps per epoch.
+    @pytest.mark.parametrize("n, steps", [(4096, 2), (4097, 10)])
+    def test_automatic_batch_switch(self, n, steps):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0.0, 1.0, (n, 4))
+        y = rng.uniform(0.1, 0.9, (n, 4))
+        cfg = TrainConfig(learning_rate=1e-2, epochs=2)
+        params = init_adapter(4, 8, seed=5)
+        fused, loss_f = train_on_pairs(params, (x, y), cfg)
+        reference, loss_r = reference_train_on_pairs(params, (x, y), cfg)
+        assert fused.opt_steps == steps
+        assert_same_bits(fused, reference)
+        assert loss_f == loss_r
+
     @pytest.mark.parametrize("case", ["nan_input", "weight_overflow"])
     def test_same_divergence(self, case):
         rng = np.random.default_rng(32)

@@ -78,6 +78,11 @@ class TestRunConfig:
         with pytest.raises(FormatError, match="run.cfg: not UTF-8 text at byte offset 11"):
             load_run_config(f)
 
+    def test_leading_bom_skipped(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_bytes(b"\xef\xbb\xbfalpha = 2\n")
+        assert load_run_config(f)["alpha"] == 2
+
     def test_resolved_lines_cover_every_key(self):
         cfg = load_run_config(None)
         lines = resolved_config_lines(cfg)

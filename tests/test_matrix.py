@@ -183,6 +183,17 @@ class TestCsvLoader:
         with pytest.raises(FormatError, match="m.csv: not UTF-8 text at byte offset 6"):
             load_matrix_csv(p)
 
+    def test_leading_bom_skipped(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+        assert load_matrix_csv(p).data[:, :, 0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_non_utf8_offset_counts_bom(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"\xef\xbb\xbf1,2\n3,\xff\n")
+        with pytest.raises(FormatError, match="m.csv: not UTF-8 text at byte offset 9"):
+            load_matrix_csv(p)
+
 
 def _write_entries(tmp_path, entries, manifest="seen.manifest"):
     lines = ["# test manifest"]
@@ -249,6 +260,11 @@ class TestDataset:
         p.write_bytes(p.read_bytes() + b"# \xff\n")
         with pytest.raises(FormatError, match="seen.manifest: not UTF-8 text"):
             load_dataset(p)
+
+    def test_leading_bom_skipped(self, tmp_path):
+        p = _write_entries(tmp_path, [(0, np.ones((2, 2))), (4, np.zeros((2, 2)))])
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes().split(b"\n", 1)[1])
+        assert load_dataset(p).class_ids == (0, 4)
 
     def test_malformed_line_names_lineno(self, tmp_path):
         p = tmp_path / "bad.manifest"
