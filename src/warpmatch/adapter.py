@@ -105,10 +105,6 @@ class AdapterParams:
         return self.layers[0][0].shape[0]
 
     @property
-    def n_out(self) -> int:
-        return self.layers[-1][0].shape[1]
-
-    @property
     def layer_sizes(self) -> tuple:
         return (self.n_in,) + tuple(w.shape[1] for w, _ in self.layers)
 

@@ -144,24 +144,12 @@ class FeatureMatrix:
         object.__setattr__(self, "data", arr)
 
     @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
     def channels(self) -> int:
         return self.data.shape[2]
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
-
-    def element(self, h: int, w: int) -> np.ndarray:
-        """The C-vector at grid position (h, w), 0-based."""
-        return self.data[h, w]
 
     def row(self, h: int) -> np.ndarray:
         """Row h as a (W, C) element sequence, 0-based."""
@@ -323,12 +311,10 @@ class Dataset:
         return tuple(m for _, m in self.entries)
 
 
-def load_dataset(manifest_path, name: str | None = None) -> Dataset:
-    """Load a dataset from a line-oriented manifest of `class_id,relative_path`.
-
-    Entries keep manifest order; '#' lines are comments.  Paths resolve
-    relative to the manifest's directory.
-    """
+def load_dataset(manifest_path) -> Dataset:
+    """Load the dataset named by the manifest's stem from its lines of
+    `class_id,relative_path`: entries keep manifest order, '#' lines are
+    comments, and paths resolve relative to the manifest's directory."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     entries = []
@@ -343,19 +329,18 @@ def load_dataset(manifest_path, name: str | None = None) -> Dataset:
             raise FormatError(f"{manifest_path}:{lineno}: class_id {head.strip()!r} "
                               "is not an integer") from None
         entries.append((cid, load_matrix(base / rel.strip())))
-    return Dataset(name or manifest_path.stem, tuple(entries))
+    return Dataset(manifest_path.stem, tuple(entries))
 
 
-def save_dataset(dataset: Dataset, directory, manifest_name: str | None = None) -> Path:
-    """Write every matrix as an FMX file plus a manifest; returns the manifest path."""
+def save_dataset(dataset: Dataset, directory) -> Path:
+    """Write every matrix as an FMX file plus the manifest `<name>.manifest`,
+    which :func:`load_dataset` names `name` again; returns the manifest path."""
     _check_type(dataset, Dataset, "dataset")
-    if manifest_name is not None:
-        _check_file_name(manifest_name, "manifest_name")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     rows = [(cid, f"{dataset.name}_{cid:04d}.fmx") for cid in dataset.class_ids]
     for (_, rel), m in zip(rows, dataset.matrices):
         save_matrix(m, directory / rel)
-    manifest = directory / (manifest_name or f"{dataset.name}.manifest")
+    manifest = directory / f"{dataset.name}.manifest"
     _write_lines(manifest, _csv_lines(f"# modality: {dataset.name}", rows))
     return manifest

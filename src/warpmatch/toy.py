@@ -36,9 +36,6 @@ TOY_E = np.array([
     [ 25,  25,  19,  30,  11,  12,  33,  37],
 ], dtype=np.float64)
 
-TOY_ALIGNMENT_DISTANCE = 654.0
-TOY_POINTWISE_L1 = 1118.0
-
 
 def toy_pair() -> tuple[FeatureMatrix, FeatureMatrix]:
     """The bundled scalar image pair used across demos and tests."""

@@ -254,7 +254,7 @@ def max_relative_gradient_error(params, n=6, dropout_p=0.0, seed=0):
     under fixed dropout masks of rate ``dropout_p`` when it is > 0."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.05, 0.95, (n, params.n_in))
-    y = rng.uniform(0.05, 0.95, (n, params.n_out))
+    y = rng.uniform(0.05, 0.95, (n, params.layer_sizes[-1]))
     masks = None
     if dropout_p > 0.0:
         keep = 1.0 - dropout_p

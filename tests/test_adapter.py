@@ -126,7 +126,7 @@ class TestAdaptMatrix:
         for _ in range(10):
             h = int(rng.integers(0, 4))
             w = int(rng.integers(0, 5))
-            assert np.allclose(out.element(h, w), adapt_one(p, m.element(h, w)),
+            assert np.allclose(out.data[h, w], adapt_one(p, m.data[h, w]),
                                rtol=1e-12, atol=1e-12)
 
 

@@ -374,6 +374,16 @@ class TestMatchRun:
         assert "unknown config key 'schedule_decay'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_diverging_training_exit_3(self, small_task, tmp_path, capsys):
+        """A step size that overflows the weights stops the run with exit code 3
+        after config.resolved, before any report or adapter is written."""
+        out = tmp_path / "run"
+        settings = ("learning_rate=1.7e308", "epochs=2", "max_sloma_iters=2", "alpha=4", "topk=2")
+        with np.errstate(over="ignore"):
+            assert main(run_args(small_task, out, [a for s in settings for a in ("--set", s)])) == 3
+        assert "error: non-finite adapter weights at epoch " in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["config.resolved"]
+
     @pytest.mark.parametrize("shapes, message", [
         (((3, 4), (4, 3)), "non-finite value at byte offset 64"),
         (((3, 4), (5, 3)), "layer dimensions do not chain at byte offset 144"),

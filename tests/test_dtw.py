@@ -115,8 +115,8 @@ class TestDtwPath:
         from warpmatch import toy_pair
 
         s, e = toy_pair()
-        for h in range(s.height):
-            for h2 in range(e.height):
+        for h in range(s.shape[0]):
+            for h2 in range(e.shape[0]):
                 d, table = row_dtw(s.row(h), e.row(h2))
                 cost = sum(
                     float(np.linalg.norm(s.row(h)[i] - e.row(h2)[j]))

@@ -57,6 +57,13 @@ class TestFeatureMatrix:
         base[0, 0, 0] = 5.0
         assert m.data[0, 0, 0] == 0.0
 
+    def test_not_equal_to_other_types(self):
+        """Against a non-matrix ``__eq__`` returns NotImplemented, so Python
+        falls back to identity; an ndarray would answer by itself instead."""
+        m = FeatureMatrix(np.ones((1, 1)))
+        assert (m == "x") is False
+        assert (m != "x") is True
+
 
 class TestFmxRoundTrip:
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -277,15 +284,6 @@ class TestDataset:
     def test_name_must_be_plain_file_name(self, tmp_path, name):
         with pytest.raises(ValidationError, match="^name must be a plain file name, got "):
             save_dataset(Dataset(name, ((0, FeatureMatrix(np.ones((2, 2)))),)), tmp_path / "out")
-        assert not any(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("manifest_name", ["../up.manifest", "a/b.manifest", "", 5],
-                             ids=repr)
-    def test_manifest_name_must_be_plain_file_name(self, tmp_path, manifest_name):
-        ds = Dataset("seen", ((0, FeatureMatrix(np.ones((2, 2)))),))
-        with pytest.raises(ValidationError,
-                           match="^manifest_name must be a plain file name, got "):
-            save_dataset(ds, tmp_path / "out", manifest_name)
         assert not any(tmp_path.iterdir())
 
     def test_save_dataset_round_trip(self, tmp_path):
